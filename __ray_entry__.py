@@ -1637,10 +1637,11 @@ _PERCOLATE_QUERIES = [
 
 def q_percolate(sf_dir: str):
     """ES percolate (reverse search): a registered query set is matched
-    against the doc stream — broadcast queries, per-doc term bitmask +
-    vectorized popcounts, zero shuffle (functions/textstats.py
-    PercolateStage).  SQL-oracled via distinct-token join + group
-    count vs each query's minimum_should_match."""
+    against the doc stream — broadcast queries, distinct (doc, term) hits
+    times a term × query membership matrix, zero shuffle
+    (functions/textstats.py PercolateStage).  SQL-oracled via
+    distinct-token join + group count vs each query's
+    minimum_should_match."""
     import ray.data as rd
     from search_ingest_ray.functions.textstats import percolate
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -2387,16 +2388,14 @@ def q_simhash(sf_dir: str):
 
 
 def q_langid(sf_dir: str):
-    from search_ingest_ray.functions.textstats import LangId
-    ds = _docs(sf_dir).map_batches(LangId, batch_format="pyarrow",
-                                   concurrency=_pool(2))
+    from search_ingest_ray.functions.textstats import langid_batch
+    ds = _docs(sf_dir).map_batches(langid_batch, batch_format="pyarrow")
     return ds.select_columns(["doc_id", "lang", "lang_pred"])
 
 
 def q_fingerprint(sf_dir: str):
-    from search_ingest_ray.functions.textstats import Fingerprinter
-    ds = _docs(sf_dir).map_batches(Fingerprinter, batch_format="pyarrow",
-                                   concurrency=_pool(2))
+    from search_ingest_ray.functions.textstats import fingerprint_batch
+    ds = _docs(sf_dir).map_batches(fingerprint_batch, batch_format="pyarrow")
     return ds.select_columns(["doc_id", "fingerprint"])
 
 

@@ -17,6 +17,13 @@ Analyzers here are pure functions over strings.  Two registered analyzers:
   expressible in DuckDB SQL (``regexp_extract_all(lower(x), '[a-z0-9]+')``),
   used for driver-verifiable oracle queries.
 
+The ``simple`` analyzer has two forms that produce the same tokens:
+:func:`tokenize_simple` is the per-string scalar reference (tests compare
+against it, and per-doc consumers such as shingle hashing call it), and
+:func:`tokenize_simple_batch` is the batch kernel every text signal reads —
+one flat token array plus per-doc counts for a whole Arrow column, built
+from Arrow C kernels.
+
 Stateful wrappers for Ray actor pools live in ``stages/analyze.py``; this
 module is deliberately Ray-free so it can serve as the brute-force oracle.
 """
@@ -26,6 +33,10 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 # Tokens: runs of Unicode word characters (letters, digits, underscore —
 # underscore joins tokens under UAX#29 ExtendNumLet, matching Lucene).
@@ -109,8 +120,30 @@ def tokenize_simple(text: str) -> list[str]:
     """ASCII lowercase tokenizer; SQL-parity mode.
 
     Equivalent DuckDB SQL: ``regexp_extract_all(lower(text), '[a-z0-9]+')``.
+    SQL ``lower`` is the simple one-to-one case mapping, while ``str.lower``
+    is the full one: the two differ only on U+0130 'İ', which the full
+    mapping turns into 'i' + U+0307 (a combining dot that splits the token),
+    so 'İ' is mapped to 'i' first.
     """
-    return _ASCII_WORD_RE.findall(text.lower())
+    return _ASCII_WORD_RE.findall(text.replace("\u0130", "i").lower())
+
+
+def tokenize_simple_batch(texts: pa.Array | pa.ChunkedArray
+                          ) -> tuple[pa.Array, np.ndarray]:
+    """Batch form of :func:`tokenize_simple` over a string column (nulls
+    read as ''): every doc's tokens in doc order as ONE flat string array,
+    plus the int64 token count of each doc.  ``utf8_lower`` is the same
+    simple case mapping as SQL ``lower``, and splitting on the class
+    complement (dropping the empty pieces) yields exactly the
+    ``[a-z0-9]+`` runs."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    # a null row splits into a null list, which flatten skips
+    lists = pc.split_pattern_regex(pc.utf8_lower(texts), "[^a-z0-9]+")
+    pieces = lists.flatten()
+    keep = pc.not_equal(pieces, "")
+    doc = pc.list_parent_indices(lists).filter(keep).to_numpy()
+    return pieces.filter(keep), np.bincount(doc, minlength=len(texts))
 
 
 def tokenize_standard_positions(text: str) -> tuple[list[str], list[int]]:
@@ -147,7 +180,7 @@ def tokenize_standard_positions(text: str) -> tuple[list[str], list[int]]:
 
 
 def tokenize_simple_positions(text: str) -> tuple[list[str], list[int]]:
-    toks = _ASCII_WORD_RE.findall(text.lower())
+    toks = tokenize_simple(text)
     return toks, list(range(len(toks)))
 
 

@@ -36,21 +36,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..analyzer import tokenize_simple
+from ..analyzer import tokenize_simple, tokenize_simple_batch
 
 
 def _word_count_batch(batch: pa.Table, *, text_col: str) -> pa.Table:
     """Per-batch partial word counts (the pre-aggregate combiner)."""
-    from collections import Counter
-    cnt: Counter = Counter()
-    for txt in batch[text_col].to_pylist():
-        if txt:
-            cnt.update(tokenize_simple(txt))
-    if not cnt:
-        return pa.table({"word": pa.array([], pa.string()),
-                         "c": pa.array([], pa.int64())})
-    return pa.table({"word": pa.array(list(cnt.keys()), pa.string()),
-                     "c": pa.array(list(cnt.values()), pa.int64())})
+    toks, _ = tokenize_simple_batch(batch[text_col])
+    vc = pc.value_counts(toks)
+    return pa.table({"word": vc.field("values"), "c": vc.field("counts")})
 
 
 def word_counts(ds, *, text_col: str = "text"):

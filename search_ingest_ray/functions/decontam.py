@@ -141,8 +141,9 @@ class CorpusSignalScorer:
     training-data corpus filter: quality (length / stopword ratio),
     Gopher repetition, language-ID, benchmark decontamination, and the
     exact-dedup content hash — the fused form of the
-    quality_batch → repetition_batch → LangId → DecontamScorer →
-    content_hash_batch chain, sharing a single token stream and one
+    quality_batch → repetition_batch → langid_batch → DecontamScorer →
+    content_hash_batch chain: one ``tokenize_simple_batch`` stream per
+    batch feeds the textstats reductions and the shingle probe, with one
     md5-low64 token cache (:class:`~.dedup.ShingleHasher`) per actor.
 
     Emits per-doc SCALARS only (ids, counts, micro-ratios, hashes —
@@ -158,42 +159,30 @@ class CorpusSignalScorer:
     def __init__(self, bench_ref, mod: int = 97, k: int = 3,
                  text_col: str = "text", id_col: str = "doc_id"):
         import ray
-
-        from .textstats import STOPWORDS, LangId
         bench = (ray.get(bench_ref)
                  if isinstance(bench_ref, ray.ObjectRef) else bench_ref)
         self.bench = np.sort(np.asarray(bench, dtype=np.uint64))
         self.hasher = ShingleHasher(k)
         self.mod = mod
         self.text_col, self.id_col = text_col, id_col
-        self._stops = set(STOPWORDS)
-        self._langid = LangId(text_col=text_col)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..analyzer import tokenize_simple
+        from ..analyzer import tokenize_simple_batch
         from .dedup import content_hash_batch
-        from .textstats import top_bigram_stats
+        from .textstats import lang_pred, stopword_micro, top_bigram_stats
         ids = batch[self.id_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        texts = batch[self.text_col].to_pylist()
-        tok_lists = [tokenize_simple(t or "") for t in texts]
-        n = len(texts)
-
-        n_tokens = np.empty(n, dtype=np.int64)
-        stop_micro = np.empty(n, dtype=np.int64)
-        stops = self._stops
-        for i, toks in enumerate(tok_lists):
-            n_tokens[i] = len(toks)
-            denom = max(1, len(toks))
-            stop_micro[i] = int(np.floor(
-                sum(1 for x in toks if x in stops) / denom * 1e6))
-        _, top_micro = top_bigram_stats(tok_lists)
-        langs = self._langid.predict(tok_lists)
+        toks, n_tokens = tokenize_simple_batch(batch[self.text_col])
+        n = len(n_tokens)
+        _, top_micro = top_bigram_stats(toks, n_tokens)
 
         # decontam probe over per-doc DISTINCT k-grams (same shape as
-        # DecontamScorer.__call__, from the shared token stream)
-        vals = [np.unique(self.hasher.shingles_from_tokens(tl))
-                for tl in tok_lists]
+        # DecontamScorer.__call__), each doc's tokens sliced from the
+        # shared stream
+        words = toks.to_pylist()
+        ends = np.cumsum(n_tokens).tolist()
+        vals = [np.unique(self.hasher.shingles_from_tokens(words[e - c:e]))
+                for e, c in zip(ends, n_tokens.tolist())]
         counts = np.array([v.size for v in vals], dtype=np.int64)
         flat = (np.concatenate(vals) if vals
                 else np.empty(0, dtype=np.uint64))
@@ -211,9 +200,9 @@ class CorpusSignalScorer:
         return pa.table({
             self.id_col: pa.array(ids),
             "n_tokens": pa.array(n_tokens),
-            "stopword_ratio_micro": pa.array(stop_micro),
+            "stopword_ratio_micro": pa.array(stopword_micro(toks, n_tokens)),
             "top_bigram_micro": pa.array(top_micro),
-            "lang_pred": pa.array(langs, pa.string()),
+            "lang_pred": lang_pred(toks, n_tokens),
             "is_bench": pa.array((ids % self.mod == 0).astype(np.int64)),
             "contaminated": pa.array((shared > 0).astype(np.int64)),
             "content_hash": ch.combine_chunks(),

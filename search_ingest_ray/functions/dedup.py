@@ -40,25 +40,27 @@ def _hash_con():
     return duckdb.connect()
 
 
+def md5_low64(values: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """uint64 md5 low64 (≡ DuckDB's ``md5_number_lower``, the same hash as
+    :func:`tok_hash_sql`) of every string, nulls read as ''.  Computed by
+    DuckDB's vectorized C++ md5 kernel over the zero-copy-registered Arrow
+    column, so no per-row Python hashing runs."""
+    con = _hash_con()
+    con.register("_md5_src", pa.table({"t": values}))
+    try:
+        h = con.execute("SELECT md5_number_lower(coalesce(t, '')) AS h "
+                        "FROM _md5_src").arrow()["h"]
+    finally:
+        con.unregister("_md5_src")
+    return h.to_numpy()
+
+
 def content_hash_batch(batch: pa.Table, *, text_col: str = "text",
                        out_col: str = "content_hash") -> pa.Table:
-    """Stable 63-bit content hash of the raw text: md5 low64 (≡ DuckDB's
-    ``md5_number_lower``, the same hash family as :func:`tok_hash_sql`)
-    masked to 63 bits.  Computed by DuckDB's vectorized C++ md5 kernel
-    over the zero-copy-registered Arrow column — this is the front of a
-    full-corpus pass, so a Python per-row hashlib loop (the round-3
-    implementation) would be the stage bottleneck at scale."""
-    con = _hash_con()
-    src = pa.table({"t": batch[text_col]})
-    con.register("_chb_src", src)
-    try:
-        hs = con.execute(
-            "SELECT (md5_number_lower(coalesce(t, ''))"
-            "        % 9223372036854775808)::BIGINT AS h FROM _chb_src"
-        ).arrow()["h"]
-    finally:
-        con.unregister("_chb_src")
-    return batch.append_column(out_col, hs.combine_chunks())
+    """Stable 63-bit content hash of the raw text: :func:`md5_low64`
+    masked to 63 bits."""
+    h = md5_low64(batch[text_col]) & np.uint64(0x7FFFFFFFFFFFFFFF)
+    return batch.append_column(out_col, pa.array(h.astype(np.int64)))
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",

@@ -1,22 +1,29 @@
-"""Text analysis operators for large-scale training-data pipelines:
-language ID (n-gram heuristic), quality scoring, token counting, document
-fingerprinting.  All are vectorized ``map_batches`` stages; the SQL-parity
-variants (token counts, quality ratios over the ``simple`` analyzer) have
-DuckDB oracles in ``__ray_entry__.oracle_sql``.
+"""Text-signal operators of a training-data pipeline over the ``simple``
+analyzer: token counts, quality ratios, Gopher rules, bigram repetition,
+language ID, fingerprints, vocabulary / unigram-LM / hashed-linear scores,
+percolation and TF-IDF keywords.
+
+Every signal reads ONE token stream per batch — the flat token array and
+per-doc counts of :func:`~..analyzer.tokenize_simple_batch` — and reduces
+it with Arrow/numpy kernels: ``is_in``/``index_in`` lookups,
+``dictionary_encode`` codes and per-doc sums over the counts, so no
+per-document Python runs.  Outputs are exact integers or floor-micro
+ratios, bit-identical to the DuckDB oracles in ``__ray_entry__.oracle_sql``
+(which tokenize with the same ``regexp_extract_all(lower(text),
+'[a-z0-9]+')``).
 """
 
 from __future__ import annotations
 
-import re
+import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..analyzer import tokenize_simple
+from ..analyzer import tokenize_simple_batch
 
 STOPWORDS = ("the", "and", "of", "a", "to", "in", "is", "it", "for", "on")
-
-_PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
 
 # Per-language function-word profiles for the language-ID heuristic
 # (deterministic, no external models).  These are the standard most-frequent
@@ -31,14 +38,78 @@ _LANG_PROFILES = {
     "es": {"el", "los", "las", "y", "es", "no", "por", "para", "con", "una",
            "del", "se", "lo", "como", "más"},
 }
+_LANGS = sorted(_LANG_PROFILES)                # tie-break order
+_LANG_WORDS = sorted(set().union(*_LANG_PROFILES.values()))
+_LANG_MEMBER = np.array([[w in _LANG_PROFILES[lang] for lang in _LANGS]
+                         for w in _LANG_WORDS], dtype=np.int64)
+
+
+# -- reductions over the token stream -----------------------------------------
+
+def _np(arr) -> np.ndarray:
+    return arr.to_numpy(zero_copy_only=False)
+
+
+def _doc_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-doc sums of a per-token array: differences of one running sum at
+    the doc boundaries (exact for int64; uint64 wraps mod 2^64)."""
+    run = np.cumsum(values)
+    run = np.concatenate([np.zeros(1, run.dtype), run])
+    ends = np.cumsum(counts)
+    return run[ends] - run[ends - counts]
+
+
+def _micro(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``floor(num / max(denom, 1) · 1e6)`` in IEEE float64 — the same
+    operations, in the same order, as the SQL oracles."""
+    return np.floor(num / np.maximum(denom, 1) * 1e6).astype(np.int64)
+
+
+def _doc_of(counts: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(counts.size), counts)
+
+
+def _distinct_hits(codes: pa.Array, counts: np.ndarray):
+    """(doc, code) of every distinct non-null lookup code per doc, e.g.
+    the distinct stopwords each doc contains."""
+    codes = _np(pc.fill_null(codes, -1)).astype(np.int64)
+    hit = codes >= 0
+    width = int(codes.max(initial=0)) + 1
+    key = np.unique(_doc_of(counts)[hit] * width + codes[hit])
+    return key // width, key % width
+
+
+def _token_hashes(toks: pa.Array) -> np.ndarray:
+    """uint64 md5-low64 (SQL ``md5_number_lower``) of every token, hashed
+    once per DISTINCT token of the batch."""
+    from .dedup import md5_low64  # not imported by the hash-free signals
+    enc = pc.dictionary_encode(toks)
+    return md5_low64(enc.dictionary)[_np(enc.indices)]
+
+
+def stopword_micro(toks: pa.Array, counts: np.ndarray) -> np.ndarray:
+    """Per-doc share of :data:`STOPWORDS` tokens, floor-micro."""
+    stop = _np(pc.is_in(toks, value_set=pa.array(STOPWORDS)))
+    return _micro(_doc_sums(stop, counts), counts)
+
+
+def lang_pred(toks: pa.Array, counts: np.ndarray) -> pa.Array:
+    """Per-doc language: the profile sharing the most DISTINCT words with
+    the doc (ties → language code order), 'und' when none is shared."""
+    doc, word = _distinct_hits(
+        pc.index_in(toks, value_set=pa.array(_LANG_WORDS)), counts)
+    scores = np.zeros((counts.size, len(_LANGS)), dtype=np.int64)
+    np.add.at(scores, doc, _LANG_MEMBER[word])
+    pick = np.where(scores.max(axis=1) > 0,
+                    scores.argmax(axis=1) + 1, 0)
+    return pa.array(["und", *_LANGS]).take(pa.array(pick))
 
 
 def token_count_batch(batch: pa.Table, *, text_col: str = "text",
                       out_col: str = "n_tokens") -> pa.Table:
     """Token count per doc with the ``simple`` analyzer (SQL-parity:
     ``len(regexp_extract_all(lower(text), '[a-z0-9]+'))``)."""
-    counts = np.array([len(tokenize_simple(t)) if t else 0
-                       for t in batch[text_col].to_pylist()], dtype=np.int64)
+    _, counts = tokenize_simple_batch(batch[text_col])
     return batch.append_column(out_col, pa.array(counts))
 
 
@@ -49,61 +120,31 @@ def quality_batch(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
     bit-deterministic IEEE, so the DuckDB oracle reproduces the values
     exactly (decimal ROUND would diverge on half-way cases — Python/numpy
     round half-even, SQL rounds half away from zero)."""
-    texts = batch[text_col].to_pylist()
-    n = len(texts)
-    text_len = np.empty(n, dtype=np.int64)
-    n_tokens = np.empty(n, dtype=np.int64)
-    stop_micro = np.empty(n, dtype=np.int64)
-    mtl_micro = np.empty(n, dtype=np.int64)
-    stops = set(STOPWORDS)
-    for i, t in enumerate(texts):
-        t = t or ""
-        toks = tokenize_simple(t)
-        text_len[i] = len(t)
-        n_tokens[i] = len(toks)
-        denom = max(1, len(toks))
-        stop_micro[i] = int(np.floor(sum(1 for x in toks if x in stops) / denom * 1e6))
-        mtl_micro[i] = int(np.floor(sum(map(len, toks)) / denom * 1e6))
-    return (batch.append_column("text_len", pa.array(text_len))
-                 .append_column("n_tokens", pa.array(n_tokens))
-                 .append_column("stopword_ratio_micro", pa.array(stop_micro))
-                 .append_column("mean_token_len_micro", pa.array(mtl_micro)))
+    text = batch[text_col]
+    toks, counts = tokenize_simple_batch(text)
+    tok_len = _doc_sums(_np(pc.binary_length(toks)), counts)
+    return (batch.append_column("text_len", pc.fill_null(
+                pc.utf8_length(text), 0).cast(pa.int64()))
+                 .append_column("n_tokens", pa.array(counts))
+                 .append_column("stopword_ratio_micro",
+                                pa.array(stopword_micro(toks, counts)))
+                 .append_column("mean_token_len_micro",
+                                pa.array(_micro(tok_len, counts))))
 
 
-class LangId:
-    """Actor-pool language-ID stage: profile tables built once per actor.
-
-    Scores each doc against per-language frequent-word profiles; ties break
-    deterministically by language code order.  Heuristic (not a model) —
-    suitable as a filter signal, mirrored by no SQL oracle (rows-only)."""
-
-    def __init__(self, text_col: str = "text", out_col: str = "lang_pred"):
-        self.text_col = text_col
-        self.out_col = out_col
-        self.profiles = sorted(_LANG_PROFILES.items())  # deterministic order
-
-    def predict(self, tok_lists: list) -> list[str]:
-        preds = []
-        for tl in tok_lists:
-            toks = set(tl)
-            best, best_score = "und", 0
-            for lang, prof in self.profiles:
-                s = len(toks & prof)
-                if s > best_score:
-                    best, best_score = lang, s
-            preds.append(best)
-        return preds
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        preds = self.predict([tokenize_simple(t or "")
-                              for t in batch[self.text_col].to_pylist()])
-        return batch.append_column(self.out_col, pa.array(preds, pa.string()))
+def langid_batch(batch: pa.Table, *, text_col: str = "text",
+                 out_col: str = "lang_pred") -> pa.Table:
+    """Language-ID stage: scores each doc against per-language
+    frequent-word profiles (:func:`lang_pred`).  Heuristic (not a model) —
+    suitable as a filter signal; the ``langid`` SQL oracle reads the same
+    ``_LANG_PROFILES``."""
+    return batch.append_column(
+        out_col, lang_pred(*tokenize_simple_batch(batch[text_col])))
 
 
 # Gopher rule 7's required words (Rae et al. 2021, table A1): a doc must
 # contain at least 2 of these to pass.
 GOPHER_REQUIRED = ("the", "be", "to", "of", "and", "that", "have", "with")
-_BULLETS = ("-", "*", "•")
 
 
 def gopher_rules_batch(batch: pa.Table, *, text_col: str = "text",
@@ -124,36 +165,27 @@ def gopher_rules_batch(batch: pa.Table, *, text_col: str = "text",
     ``pass_gopher`` is the conjunction (int64 0/1).  Words are the simple
     analyzer's tokens (SQL parity: ``regexp_extract_all(lower(text),
     '[a-z0-9]+')``); symbol/line stats come from the RAW text."""
-    texts = batch[text_col].to_pylist()
-    n = len(texts)
-    n_words = np.empty(n, np.int64)
-    mean_micro = np.empty(n, np.int64)
-    alpha_micro = np.empty(n, np.int64)
-    req_hits = np.empty(n, np.int64)
-    sym_micro = np.empty(n, np.int64)
-    bullet_micro = np.empty(n, np.int64)
-    ellipsis_micro = np.empty(n, np.int64)
-    required = set(GOPHER_REQUIRED)
-    for i, t in enumerate(texts):
-        t = t or ""
-        toks = tokenize_simple(t)
-        nw = len(toks)
-        denom = max(1, nw)
-        n_words[i] = nw
-        mean_micro[i] = int(np.floor(sum(map(len, toks)) / denom * 1e6))
-        alpha_micro[i] = int(np.floor(
-            sum(1 for x in toks if any(c.isalpha() for c in x))
-            / denom * 1e6))
-        req_hits[i] = len(set(toks) & required)
-        syms = t.count("#") + t.count("...") + t.count("…")
-        sym_micro[i] = int(np.floor(syms / denom * 1e6))
-        lines = t.split("\n")
-        nl = max(1, len(lines))
-        bullet_micro[i] = int(np.floor(
-            sum(1 for ln in lines if ln.startswith(_BULLETS)) / nl * 1e6))
-        ellipsis_micro[i] = int(np.floor(
-            sum(1 for ln in lines
-                if ln.endswith("...") or ln.endswith("…")) / nl * 1e6))
+    text = pc.fill_null(batch[text_col], "")
+    toks, n_words = tokenize_simple_batch(text)
+    mean_micro = _micro(_doc_sums(_np(pc.binary_length(toks)), n_words),
+                        n_words)
+    alpha_micro = _micro(_doc_sums(~_np(pc.ascii_is_decimal(toks)), n_words),
+                         n_words)
+    req_doc, _ = _distinct_hits(
+        pc.index_in(toks, value_set=pa.array(GOPHER_REQUIRED)), n_words)
+    req_hits = np.bincount(req_doc, minlength=n_words.size)
+    syms = sum(_np(pc.count_substring(text, p)) for p in ("#", "...", "…"))
+    sym_micro = _micro(syms, n_words)
+    # lines are text.split("\n"): the first starts the text, every other
+    # one follows a newline; the last ends the text, every other one
+    # precedes a newline
+    n_lines = _np(pc.count_substring(text, "\n")) + 1
+    bullets = (_np(pc.match_substring_regex(text, r"^[-*•]"))
+               + _np(pc.count_substring_regex(text, r"\n[-*•]")))
+    ellipses = (_np(pc.match_substring_regex(text, r"(\.\.\.|…)$"))
+                + _np(pc.count_substring_regex(text, r"(\.\.\.|…)\n")))
+    bullet_micro = _micro(bullets, n_lines)
+    ellipsis_micro = _micro(ellipses, n_lines)
     ok = ((n_words >= min_words) & (n_words <= max_words)
           & (mean_micro >= 3_000_000) & (mean_micro <= 10_000_000)
           & (sym_micro < 100_000) & (bullet_micro < 900_000)
@@ -174,106 +206,49 @@ _FP_BASE = np.uint64(1099511628211)   # odd → invertible mod 2^64
 _FP_SEED = np.uint64(14695981039346656037)
 
 
-class Fingerprinter:
-    """Actor-pool document-fingerprint stage: 63-bit order-sensitive
-    polynomial hash of the simple-analyzed token sequence — a
-    whitespace/punct-insensitive exact-duplicate key.
-
-    fp(doc) = seed + Σ_i h(tok_i) · B^i  (mod 2^64), masked to 63 bits.
-    Per-token md5-low64 hashes (SQL parity: ``md5_number_lower``) are
-    cached across batches; the polynomial accumulation is one flattened
-    numpy reduceat per batch (no per-byte or per-token Python arithmetic
-    in the hot path) — reproducible by a pure-SQL DuckDB oracle via a
-    recursive-CTE power table."""
-
-    def __init__(self, text_col: str = "text", out_col: str = "fingerprint"):
-        self.text_col, self.out_col = text_col, out_col
-        self._cache: dict[str, int] = {}
-        self._pows = np.array([1], dtype=np.uint64)
-
-    def _ensure_pows(self, n: int) -> None:
-        if len(self._pows) < n:
-            k = max(n, 2 * len(self._pows))
-            ext = np.empty(k, dtype=np.uint64)
-            ext[0] = 1
-            ext[1:] = _FP_BASE
-            np.cumprod(ext, out=ext)  # wraps mod 2^64 by uint64 overflow
-            self._pows = ext
-
-    def _tok_hash(self, tok: str) -> int:
-        h = self._cache.get(tok)
-        if h is None:
-            from ..util import tok_hash_sql
-            h = tok_hash_sql(tok)  # SQL-parity: md5_number_lower(tok)
-            if len(self._cache) < 2_000_000:
-                self._cache[tok] = h
-        return h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        n = len(texts)
-        tok_lists = [tokenize_simple(t or "") for t in texts]
-        lens = np.array([len(tl) for tl in tok_lists], dtype=np.int64)
-        total = int(lens.sum())
-        fps = np.full(n, int(_FP_SEED), dtype=np.uint64)
-        if total:
-            self._ensure_pows(int(lens.max()))
-            th = self._tok_hash
-            flat = np.fromiter(
-                (th(t) for tl in tok_lists for t in tl),
-                dtype=np.uint64, count=total)
-            starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-            pos = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-            terms = flat * self._pows[pos]
-            nz = lens > 0
-            sums = np.add.reduceat(terms, starts[nz])
-            fps[nz] += sums
-        return batch.append_column(
-            self.out_col,
-            pa.array((fps & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)))
-
-
 def fingerprint_batch(batch: pa.Table, *, text_col: str = "text",
                       out_col: str = "fingerprint") -> pa.Table:
-    """Stateless function form — prefer passing :class:`Fingerprinter` to
-    map_batches for cross-batch token-hash caching."""
-    return Fingerprinter(text_col=text_col, out_col=out_col)(batch)
+    """Document fingerprint: 63-bit order-sensitive polynomial hash of the
+    simple-analyzed token sequence — a whitespace/punct-insensitive
+    exact-duplicate key.
+
+    fp(doc) = seed + Σ_i h(tok_i) · B^i  (mod 2^64), masked to 63 bits,
+    with h the md5-low64 token hash (SQL parity: ``md5_number_lower``) —
+    reproducible by a pure-SQL DuckDB oracle via a recursive-CTE power
+    table."""
+    toks, counts = tokenize_simple_batch(batch[text_col])
+    pows = np.full(max(int(counts.max(initial=0)), 1), _FP_BASE,
+                   dtype=np.uint64)
+    pows[0] = 1
+    np.cumprod(pows, out=pows)  # wraps mod 2^64 by uint64 overflow
+    pos = np.arange(len(toks)) - np.repeat(np.cumsum(counts) - counts, counts)
+    fps = _FP_SEED + _doc_sums(_token_hashes(toks) * pows[pos], counts)
+    return batch.append_column(
+        out_col,
+        pa.array((fps & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)))
 
 
-def top_bigram_stats(tok_lists: list) -> tuple[np.ndarray, np.ndarray]:
-    """(n_bigrams, top_bigram_micro) for pre-tokenized docs — the
-    vectorized Gopher repetitiveness core, shared by
-    :func:`repetition_batch` and the fused corpus-filter signal stage
-    (one batch-wide token factorize, adjacent-pair bigram codes with
-    doc-boundary pairs masked, a single lexsort + run-length count +
-    per-doc max — no per-doc Python in the hot path)."""
-    n = len(tok_lists)
-    lens = np.array([len(tl) for tl in tok_lists], dtype=np.int64)
-    total = int(lens.sum())
-    nbg = np.maximum(lens - 1, 0)
-    top = np.zeros(n, dtype=np.int64)
-    if total >= 2:
-        flat = np.array([t for tl in tok_lists for t in tl], dtype=object)
-        _, inv = np.unique(flat, return_inverse=True)
-        doc_idx = np.repeat(np.arange(n, dtype=np.int64), lens)
-        d = doc_idx[:-1]
-        same = doc_idx[1:] == d  # drop pairs that straddle a doc boundary
-        d = d[same]
-        a, b = inv[:-1][same], inv[1:][same]
-        if d.size:
-            # count identical (doc, bigram) runs without building d*V²+b
-            # keys (which could overflow int64 on huge batches)
-            order = np.lexsort((b, a, d))
-            ds, as_, bs = d[order], a[order], b[order]
-            new = np.empty(ds.size, dtype=bool)
-            new[0] = True
-            new[1:] = ((ds[1:] != ds[:-1]) | (as_[1:] != as_[:-1])
-                       | (bs[1:] != bs[:-1]))
-            gid = np.cumsum(new) - 1
-            counts = np.bincount(gid)
-            np.maximum.at(top, ds[new], counts)
-    micro = (top * 1_000_000) // np.maximum(nbg, 1)
-    return nbg, micro
+def top_bigram_stats(toks: pa.Array,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n_bigrams, top_bigram_micro) over a token stream — the Gopher
+    repetitiveness core, shared by :func:`repetition_batch` and the fused
+    corpus-filter signal stage.  Bigrams are dense integer codes (token
+    codes → pair codes, pairs straddling a doc boundary masked), so the
+    per-(doc, bigram) count is one integer unique, never a string sort."""
+    nbg = np.maximum(counts - 1, 0)
+    top = np.zeros(counts.size, dtype=np.int64)
+    doc = _doc_of(counts)
+    same = doc[1:] == doc[:-1]
+    if same.any():
+        enc = pc.dictionary_encode(toks)
+        tok = _np(enc.indices).astype(np.int64)
+        pair = tok[:-1][same] * len(enc.dictionary) + tok[1:][same]
+        # re-code the pairs densely so doc · n_pairs + pair fits in int64
+        pair = _np(pc.dictionary_encode(pa.array(pair)).indices)
+        width = int(pair.max()) + 1
+        key, n = np.unique(doc[:-1][same] * width + pair, return_counts=True)
+        np.maximum.at(top, key // width, n)
+    return nbg, (top * 1_000_000) // np.maximum(nbg, 1)
 
 
 def repetition_batch(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
@@ -283,8 +258,7 @@ def repetition_batch(batch: pa.Table, *, text_col: str = "text") -> pa.Table:
     (0 when the doc has < 2 tokens).  High values flag boilerplate /
     degenerate pages a training-data pipeline drops.  Appends
     (n_bigrams, top_bigram_micro); core in :func:`top_bigram_stats`."""
-    texts = batch[text_col].to_pylist()
-    nbg, micro = top_bigram_stats([tokenize_simple(t or "") for t in texts])
+    nbg, micro = top_bigram_stats(*tokenize_simple_batch(batch[text_col]))
     return (batch.append_column("n_bigrams", pa.array(nbg))
                  .append_column("top_bigram_micro", pa.array(micro)))
 
@@ -328,23 +302,18 @@ def oov_rate(ds, *, text_col: str = "text", id_col: str = "doc_id",
     top = (word_counts(ds, text_col=text_col)
            .sort(["c", "word"], descending=[True, False])
            .limit(vocab_k).take_all())
-    vocab_ref = ray.put(frozenset(r["word"] for r in top))
+    vocab_ref = ray.put(pa.array([r["word"] for r in top], pa.string()))
 
     class _Score:
         def __init__(self):
             self.vocab = ray.get(vocab_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            vocab = self.vocab
-            ids = batch[id_col]
-            nt = np.empty(len(batch), dtype=np.int64)
-            no = np.empty(len(batch), dtype=np.int64)
-            for i, t in enumerate(batch[text_col].to_pylist()):
-                toks = tokenize_simple(t or "")
-                nt[i] = len(toks)
-                no[i] = sum(1 for x in toks if x not in vocab)
+            toks, nt = tokenize_simple_batch(batch[text_col])
+            oov = ~_np(pc.is_in(toks, value_set=self.vocab))
+            no = _doc_sums(oov, nt)
             ppm = np.where(nt > 0, no * 1_000_000 // np.maximum(nt, 1), 0)
-            return pa.table({id_col: ids,
+            return pa.table({id_col: batch[id_col],
                              "n_tokens": pa.array(nt),
                              "n_oov": pa.array(no),
                              "oov_ppm": pa.array(ppm.astype(np.int64))})
@@ -384,45 +353,25 @@ def unigram_ppl(ds, *, text_col: str = "text", id_col: str = "doc_id",
     top = (word_counts(ds, text_col=text_col)
            .sort(["c", "word"], descending=[True, False])
            .limit(vocab_k).take_all())
-    words = np.array(sorted(r["word"] for r in top), dtype=str)
-    counts = {r["word"]: int(r["c"]) for r in top}
-    c_sorted = np.array([counts[w] for w in words], dtype=np.int64)
-    total = int(c_sorted.sum())
-    v = len(words)
-    ln_norm = np.log(float(total + v + 1))
-    surp = np.floor((ln_norm - np.log(c_sorted + 1.0)) * 1e6).astype(np.int64)
+    words = pa.array([r["word"] for r in top], pa.string())
+    c = np.array([r["c"] for r in top], dtype=np.int64)
+    ln_norm = np.log(float(c.sum() + len(words) + 1))
+    surp = np.floor((ln_norm - np.log(c + 1.0)) * 1e6).astype(np.int64)
     s_oov = int(np.floor(ln_norm * 1e6))  # ln(0 + 1) = 0
-    model_ref = ray.put((words, surp, s_oov))
+    # an OOV token's lookup code -1 reads the last entry, s_oov
+    model_ref = ray.put((words, np.append(surp, s_oov)))
 
     class _Score:
         def __init__(self):
-            self.words, self.surp, self.s_oov = ray.get(model_ref)
+            self.words, self.surp = ray.get(model_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch[id_col]
-            nt = np.empty(len(batch), dtype=np.int64)
-            toks_all: list[str] = []
-            for i, t in enumerate(batch[text_col].to_pylist()):
-                toks = tokenize_simple(t or "")
-                nt[i] = len(toks)
-                toks_all.extend(toks)
-            if toks_all:
-                arr = np.array(toks_all)
-                if len(self.words):
-                    pos = np.searchsorted(self.words, arr)
-                    pos_c = np.minimum(pos, len(self.words) - 1)
-                    hit = self.words[pos_c] == arr
-                    s = np.where(hit, self.surp[pos_c], self.s_oov)
-                else:
-                    s = np.full(len(arr), self.s_oov, dtype=np.int64)
-                bounds = np.concatenate([[0], np.cumsum(nt)[:-1]])
-                ssum = np.add.reduceat(
-                    np.concatenate([s, [0]]), bounds)
-                ssum = np.where(nt > 0, ssum, 0)
-            else:
-                ssum = np.zeros(len(batch), dtype=np.int64)
+            toks, nt = tokenize_simple_batch(batch[text_col])
+            code = _np(pc.fill_null(
+                pc.index_in(toks, value_set=self.words), -1))
+            ssum = _doc_sums(self.surp[code], nt)
             ce = np.where(nt > 0, ssum // np.maximum(nt, 1), 0)
-            return pa.table({id_col: ids,
+            return pa.table({id_col: batch[id_col],
                              "n_tokens": pa.array(nt),
                              "ce_micro": pa.array(ce.astype(np.int64))})
 
@@ -455,13 +404,10 @@ def hashed_linear_score(ds, *, text_col: str = "text",
     via ``ray.put``, fetched in each actor's ``__init__``.
 
     Scale shape: broadcast model + pure map stage, ZERO corpus shuffle at
-    any size; per-actor token→bucket md5 cache so each distinct token
-    hashes once per actor (the ShingleHasher pattern); scoring is one
-    np.take + segment reduceat per batch.  Emits one row per input doc
-    (token-less docs score 0 / keep=False)."""
+    any size; each batch hashes its DISTINCT tokens in one vectorized
+    DuckDB md5 call, and scoring is a weight lookup + per-doc sums.  Emits
+    one row per input doc (token-less docs score 0 / keep=False)."""
     import ray
-
-    from ..util import tok_hash_sql
 
     weights = ((np.arange(CLS_DIM, dtype=np.int64) * CLS_MIX) % 2001
                - 1000).astype(np.int64)
@@ -470,36 +416,11 @@ def hashed_linear_score(ds, *, text_col: str = "text",
     class _Score:
         def __init__(self):
             self.w = ray.get(model_ref)
-            self._bucket_cache: dict[str, int] = {}
-
-        def _buckets(self, uniq_toks: np.ndarray) -> np.ndarray:
-            cache = self._bucket_cache
-            out = np.empty(uniq_toks.size, dtype=np.int64)
-            for i, t in enumerate(uniq_toks.tolist()):
-                b = cache.get(t)
-                if b is None:
-                    if len(cache) > 2_000_000:   # bound actor memory
-                        cache.clear()
-                    b = cache[t] = tok_hash_sql(t) % CLS_DIM
-                out[i] = b
-            return out
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            nt = np.empty(len(batch), dtype=np.int64)
-            toks_all: list[str] = []
-            for i, t in enumerate(batch[text_col].to_pylist()):
-                toks = tokenize_simple(t or "")
-                nt[i] = len(toks)
-                toks_all.extend(toks)
-            if toks_all:
-                arr = np.asarray(toks_all)
-                uniq, inv = np.unique(arr, return_inverse=True)
-                w_tok = self.w[self._buckets(uniq)][inv]
-                bounds = np.concatenate([[0], np.cumsum(nt)[:-1]])
-                ssum = np.add.reduceat(np.concatenate([w_tok, [0]]), bounds)
-                ssum = np.where(nt > 0, ssum, 0).astype(np.int64)
-            else:
-                ssum = np.zeros(len(batch), dtype=np.int64)
+            toks, nt = tokenize_simple_batch(batch[text_col])
+            bucket = _token_hashes(toks) % np.uint64(CLS_DIM)
+            ssum = _doc_sums(self.w[bucket], nt)
             return pa.table({id_col: batch[id_col],
                              "n_tokens": pa.array(nt),
                              "score_milli": pa.array(ssum),
@@ -520,57 +441,42 @@ class PercolateStage:
 
     Scale shape: the query set is small and broadcast (actor ``__init__``
     state, like DecontamScorer's eval hashes) — matching is a pure map
-    stage, ZERO shuffle at any corpus size.  Per doc, tokens fold into a
-    BITMASK over the union vocabulary of all query terms (one dict probe
-    per token), then every query resolves with vectorized popcounts —
-    O(tokens + n_queries) per doc, independent of per-query term counts.
-    Emits one row per (doc, matching query)."""
+    stage, ZERO shuffle at any corpus size.  Per batch, one ``index_in``
+    maps tokens to the union vocabulary of all query terms, and the
+    distinct (doc, term) hits times a (term × query) membership matrix
+    give every doc's matched-term count per query — O(tokens + hits ·
+    n_queries), independent of per-query term counts.  Emits one row per
+    (doc, matching query)."""
 
     def __init__(self, queries: list[tuple], text_col: str = "text",
                  id_col: str = "doc_id"):
         self.text_col = text_col
         self.id_col = id_col
-        vocab: dict[str, int] = {}
-        qmasks, qmin, qids = [], [], []
-        for qid, terms, min_match in queries:
-            mask = 0
-            for t in dict.fromkeys(terms):
-                if t not in vocab:
-                    vocab[t] = len(vocab)
-                mask |= 1 << vocab[t]
-            qmasks.append(mask)
-            qmin.append(int(min_match))
-            qids.append(qid)
+        vocab = list(dict.fromkeys(t for _, terms, _ in queries
+                                   for t in terms))
         if len(vocab) > 512:
             raise ValueError("percolator vocabulary > 512 distinct terms; "
                              "shard the query set across stages")
-        self.vocab = vocab
-        self.qids = np.array(qids, dtype=np.int64)
-        self.qmasks = qmasks          # python ints: arbitrary width
-        self.qmin = np.array(qmin, dtype=np.int64)
+        code = {t: i for i, t in enumerate(vocab)}
+        self.vocab = pa.array(vocab, pa.string())
+        self.member = np.zeros((len(vocab), len(queries)), dtype=np.int64)
+        for qi, (_, terms, _) in enumerate(queries):
+            self.member[[code[t] for t in terms], qi] = 1
+        self.qids = np.array([q[0] for q in queries], dtype=np.int64)
+        self.qmin = np.array([q[2] for q in queries], dtype=np.int64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        vocab = self.vocab
-        doc_out, qid_out, n_out = [], [], []
-        for did, txt in zip(batch[self.id_col].to_pylist(),
-                            batch[self.text_col].to_pylist()):
-            mask = 0
-            for t in tokenize_simple(txt or ""):
-                b = vocab.get(t)
-                if b is not None:
-                    mask |= 1 << b
-            if mask == 0 and self.qmin.min(initial=1) > 0:
-                continue
-            for qi, (qm, qn) in enumerate(zip(self.qmasks, self.qmin)):
-                hits = (mask & qm).bit_count()
-                if hits >= qn:
-                    doc_out.append(did)
-                    qid_out.append(self.qids[qi])
-                    n_out.append(hits)
+        toks, counts = tokenize_simple_batch(batch[self.text_col])
+        doc, term = _distinct_hits(pc.index_in(toks, value_set=self.vocab),
+                                   counts)
+        hits = np.zeros((counts.size, self.qids.size), dtype=np.int64)
+        np.add.at(hits, doc, self.member[term])
+        di, qi = np.nonzero(hits >= self.qmin)
         return pa.table({
-            self.id_col: pa.array(doc_out, pa.int64()),
-            "query_id": pa.array(qid_out, pa.int64()),
-            "n_matched": pa.array(n_out, pa.int64()),
+            self.id_col: batch[self.id_col].take(pa.array(di))
+                                           .cast(pa.int64()),
+            "query_id": pa.array(self.qids[qi]),
+            "n_matched": pa.array(hits[di, qi]),
         })
 
 
@@ -597,17 +503,17 @@ def compression_ratio_batch(batch: pa.Table, *, text_col: str = "text",
     rows-only; the pytest asserts the discriminative ordering
     repetitive < prose < noise."""
     import zlib
-    ratios = []
-    for t in batch[text_col].to_pylist():
-        raw = (t or "").encode("utf-8")
-        ratios.append(len(zlib.compress(raw, level)) * 1_000_000
-                      // max(len(raw), 1))
+    text = pc.fill_null(batch[text_col], "")
+    n_bytes = _np(pc.binary_length(text)).astype(np.int64)
+    packed = np.fromiter(
+        (len(zlib.compress(raw, level))
+         for raw in text.cast(pa.binary()).to_pylist()),
+        dtype=np.int64, count=len(n_bytes))
     return pa.table({
         "doc_id": batch["doc_id"],
-        "n_bytes": pa.array(
-            [len((t or "").encode("utf-8"))
-             for t in batch[text_col].to_pylist()], pa.int64()),
-        "compression_micro": pa.array(ratios, pa.int64()),
+        "n_bytes": pa.array(n_bytes),
+        "compression_micro": pa.array(
+            packed * 1_000_000 // np.maximum(n_bytes, 1)),
     })
 
 
@@ -629,32 +535,41 @@ class KeywordExtractor:
     def __init__(self, df_ref, n_docs: int, top: int = 3,
                  text_col: str = "text", id_col: str = "doc_id"):
         import ray
-        self.df = ray.get(df_ref) if not isinstance(df_ref, dict) else df_ref
+        df = ray.get(df_ref) if not isinstance(df_ref, dict) else df_ref
+        self.df_terms = pa.array(list(df), pa.string())
+        # an unknown term's lookup code -1 reads the last entry, df 1
+        self.df = np.append(np.fromiter(df.values(), np.int64, len(df)), 1)
         self.n = int(n_docs)
         self.top = top
         self.text_col = text_col
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import math
-        from collections import Counter
-        dids, ranks, terms, scores = [], [], [], []
-        for did, txt in zip(batch[self.id_col].to_pylist(),
-                            batch[self.text_col].to_pylist()):
-            c = Counter(tokenize_simple(txt or ""))
-            scored = sorted(
-                (-math.floor(tf * math.log(
-                    1 + (self.n - self.df.get(t, 1) + 0.5)
-                    / (self.df.get(t, 1) + 0.5)) * 1_000_000), t)
-                for t, tf in c.items())[:self.top]
-            for r, (neg, t) in enumerate(scored, 1):
-                dids.append(did)
-                ranks.append(r)
-                terms.append(t)
-                scores.append(-neg)
+        toks, counts = tokenize_simple_batch(batch[self.text_col])
+        enc = pc.dictionary_encode(toks)
+        terms = enc.dictionary
+        width = max(len(terms), 1)
+        key, tf = np.unique(_doc_of(counts) * width + _np(enc.indices),
+                            return_counts=True)
+        doc, term = key // width, key % width
+        df = self.df[_np(pc.fill_null(
+            pc.index_in(terms, value_set=self.df_terms), -1))]
+        # idf through libm math.log, once per distinct df value, so the
+        # scores stay bit-identical to SQL ln
+        dfs, inv = np.unique(df, return_inverse=True)
+        idf = np.array([math.log(1 + (self.n - x + 0.5) / (x + 0.5))
+                        for x in dfs.tolist()])[inv]
+        score = np.floor(tf * idf[term] * 1_000_000).astype(np.int64)
+        # rank within doc by (-score, term)
+        term_rank = np.argsort(_np(pc.array_sort_indices(terms)))
+        order = np.lexsort((term_rank[term], -score, doc))
+        doc, term, score = doc[order], term[order], score[order]
+        rank = np.arange(doc.size) - np.searchsorted(doc, doc)
+        keep = rank < self.top
         return pa.table({
-            "doc_id": pa.array(dids, pa.int64()),
-            "rank": pa.array(ranks, pa.int64()),
-            "term": pa.array(terms, pa.string()),
-            "score_micro": pa.array(scores, pa.int64()),
+            "doc_id": batch[self.id_col].take(pa.array(doc[keep]))
+                                        .cast(pa.int64()),
+            "rank": pa.array(rank[keep] + 1),
+            "term": terms.take(pa.array(term[keep])),
+            "score_micro": pa.array(score[keep]),
         })

@@ -11,7 +11,8 @@ from search_ingest_ray.functions.dedup import (
 )
 from search_ingest_ray.functions.similarity import ann_lsh, knn_cosine
 from search_ingest_ray.functions.textstats import (
-    LangId, fingerprint_batch, quality_batch, token_count_batch,
+    STOPWORDS, fingerprint_batch, langid_batch, quality_batch,
+    token_count_batch,
 )
 from search_ingest_ray.functions.multimodal import (
     FrameSampleStage, ImageFeatureStage,
@@ -22,6 +23,35 @@ from search_ingest_ray.functions.multimodal import (
 def rd(ray_session):
     import ray.data as rd
     return rd
+
+
+# Tokenizer edge cases, one more input of every brute-force text-signal
+# test: null, empty, whitespace-only, one-token and newline-only docs;
+# lines that start with a bullet or end with an ellipsis; '#', mixed case,
+# 'İ' (whose full-case lowercase splits a token) and non-ASCII words.
+EDGE_TEXTS = [
+    None,
+    "",
+    "  \t ",
+    "merge",
+    "\n",
+    "• merge the scan\n* window data\n- customer data...\n•plain line…\n...",
+    "## Heading #tag ... x...y… The And OF…",
+    "- MiXeD CaSe MERGE Scan the The THE",
+    "aİb İstanbul straße café naïve",
+    "the spark is slow on the batch join and the data of the window",
+]
+
+
+def _edge_batch(first_id: int = 100) -> pa.Table:
+    """EDGE_TEXTS with its ``text`` column split into two chunks."""
+    half = len(EDGE_TEXTS) // 2
+    return pa.table({
+        "doc_id": pa.array(range(first_id, first_id + len(EDGE_TEXTS)),
+                           pa.int64()),
+        "text": pa.chunked_array([EDGE_TEXTS[:half], EDGE_TEXTS[half:]],
+                                 pa.string()),
+    })
 
 
 def test_exact_dedup_first_wins(rd):
@@ -278,6 +308,22 @@ def test_token_count_and_quality():
     assert q["text_len"].to_pylist() == [13, 0]
     assert q["stopword_ratio_micro"][0].as_py() == int(np.floor(1 / 3 * 1e6))
 
+    from search_ingest_ray.analyzer import tokenize_simple
+    edge = _edge_batch()
+    q = quality_batch(edge)
+    assert (token_count_batch(edge)["n_tokens"].to_pylist()
+            == q["n_tokens"].to_pylist())
+    for i, t in enumerate(EDGE_TEXTS):
+        t = t or ""
+        toks = tokenize_simple(t)
+        denom = max(1, len(toks))
+        assert q["text_len"][i].as_py() == len(t)
+        assert q["n_tokens"][i].as_py() == len(toks)
+        assert q["stopword_ratio_micro"][i].as_py() == int(np.floor(
+            sum(x in STOPWORDS for x in toks) / denom * 1e6)), t
+        assert q["mean_token_len_micro"][i].as_py() == int(np.floor(
+            sum(map(len, toks)) / denom * 1e6)), t
+
 
 def test_langid_heuristic():
     batch = pa.table({"text": [
@@ -285,7 +331,7 @@ def test_langid_heuristic():
         "der hund und die katze ist nicht schön für straße",
         "el niño y la música es para los años",
     ]})
-    out = LangId()(batch)
+    out = langid_batch(batch)
     assert out["lang_pred"].to_pylist() == ["en", "de", "es"]
 
 
@@ -354,14 +400,15 @@ def test_repetition_top_bigram_vs_bruteforce():
              "one two three four",     # all distinct → 1/3
              "spam spam spam spam"]    # 'spam spam' ×3 of 3
     batch = pa.table({"doc_id": list(range(len(texts))), "text": texts})
-    out = repetition_batch(batch)
-    for i, t in enumerate(texts):
-        toks = tokenize_simple(t)
-        bgs = Counter(zip(toks, toks[1:]))
-        nbg = max(len(toks) - 1, 0)
-        want = (max(bgs.values()) * 1_000_000) // nbg if bgs else 0
-        assert out["n_bigrams"][i].as_py() == nbg
-        assert out["top_bigram_micro"][i].as_py() == want, t
+    for batch, texts in ((batch, texts), (_edge_batch(), EDGE_TEXTS)):
+        out = repetition_batch(batch)
+        for i, t in enumerate(texts):
+            toks = tokenize_simple(t or "")
+            bgs = Counter(zip(toks, toks[1:]))
+            nbg = max(len(toks) - 1, 0)
+            want = (max(bgs.values()) * 1_000_000) // nbg if bgs else 0
+            assert out["n_bigrams"][i].as_py() == nbg
+            assert out["top_bigram_micro"][i].as_py() == want, t
     # no cross-doc bigram bleed: doc boundaries mask adjacent pairs
     b2 = pa.table({"doc_id": [0, 1], "text": ["q q", "q q"]})
     r2 = repetition_batch(b2)
@@ -617,6 +664,43 @@ def test_gopher_rules_signals():
     # doc 3: empty → everything 0, fails word count
     assert r[3]["n_words"] == 0 and r[3]["pass_gopher"] == 0
 
+    # every signal vs a per-doc reference over the edge cases
+    from search_ingest_ray.analyzer import tokenize_simple
+    from search_ingest_ray.functions.textstats import GOPHER_REQUIRED
+
+    def micro(num, denom):
+        return int(np.floor(num / max(1, denom) * 1e6))
+
+    out = gopher_rules_batch(_edge_batch(), min_words=3, min_required=1)
+    for i, t in enumerate(EDGE_TEXTS):
+        t = t or ""
+        toks = tokenize_simple(t)
+        lines = t.split("\n")
+        want = {
+            "n_words": len(toks),
+            "mean_word_len_micro": micro(sum(map(len, toks)), len(toks)),
+            "alpha_word_micro": micro(
+                sum(any(c.isalpha() for c in x) for x in toks), len(toks)),
+            "n_required_hits": len(set(toks) & set(GOPHER_REQUIRED)),
+            "symbol_word_micro": micro(
+                t.count("#") + t.count("...") + t.count("…"), len(toks)),
+            "bullet_line_micro": micro(
+                sum(ln.startswith(("-", "*", "•")) for ln in lines),
+                len(lines)),
+            "ellipsis_line_micro": micro(
+                sum(ln.endswith(("...", "…")) for ln in lines), len(lines)),
+        }
+        got = {c: out[c][i].as_py() for c in want}
+        assert got == want, t
+        assert out["pass_gopher"][i].as_py() == int(
+            3 <= want["n_words"]
+            and 3_000_000 <= want["mean_word_len_micro"] <= 10_000_000
+            and want["symbol_word_micro"] < 100_000
+            and want["bullet_line_micro"] < 900_000
+            and want["ellipsis_line_micro"] < 300_000
+            and want["alpha_word_micro"] >= 800_000
+            and want["n_required_hits"] >= 1), t
+
 
 def test_gopher_rules_alpha_ratio():
     from search_ingest_ray.functions.textstats import gopher_rules_batch
@@ -655,24 +739,30 @@ def test_fused_signal_scorer_matches_unfused_kernels(ray_session):
     from search_ingest_ray.functions.dedup import ShingleHasher
     bench = np.unique(ShingleHasher(3).doc_shingles(texts[0]))
 
-    fused = CorpusSignalScorer(bench, mod=97, k=3)(batch)
+    for batch in (batch, _edge_batch(first_id=97)):
+        fused = CorpusSignalScorer(bench, mod=97, k=3)(batch)
 
-    q = quality_batch(batch)
-    r = repetition_batch(batch)
-    lang = LangId()(batch)
-    d = DecontamScorer(bench, k=3)(batch)
-    ch = content_hash_batch(batch)
+        q = quality_batch(batch)
+        r = repetition_batch(batch)
+        lang = langid_batch(batch)
+        d = DecontamScorer(bench, k=3)(batch)
+        ch = content_hash_batch(batch)
 
-    assert fused["n_tokens"].to_pylist() == q["n_tokens"].to_pylist()
-    assert (fused["stopword_ratio_micro"].to_pylist()
-            == q["stopword_ratio_micro"].to_pylist())
-    assert (fused["top_bigram_micro"].to_pylist()
-            == r["top_bigram_micro"].to_pylist())
-    assert fused["lang_pred"].to_pylist() == lang["lang_pred"].to_pylist()
-    assert fused["contaminated"].to_pylist() == d["contaminated"].to_pylist()
-    assert fused["content_hash"].to_pylist() == ch["content_hash"].to_pylist()
-    assert fused["is_bench"].to_pylist() == [int(i % 97 == 0) for i in ids]
-    assert fused["contaminated"].to_pylist()[0] == 1  # self-overlap
+        ids = batch["doc_id"].to_pylist()
+        assert fused["n_tokens"].to_pylist() == q["n_tokens"].to_pylist()
+        assert (fused["stopword_ratio_micro"].to_pylist()
+                == q["stopword_ratio_micro"].to_pylist())
+        assert (fused["top_bigram_micro"].to_pylist()
+                == r["top_bigram_micro"].to_pylist())
+        assert fused["lang_pred"].to_pylist() == lang["lang_pred"].to_pylist()
+        assert (fused["contaminated"].to_pylist()
+                == d["contaminated"].to_pylist())
+        assert (fused["content_hash"].to_pylist()
+                == ch["content_hash"].to_pylist())
+        assert fused["is_bench"].to_pylist() == [int(i % 97 == 0)
+                                                 for i in ids]
+        if ids[0] == 0:
+            assert fused["contaminated"].to_pylist()[0] == 1  # self-overlap
 
 
 def _emb_tbl(vecs):
@@ -763,16 +853,22 @@ def test_percolate_matches_brute_force(rd):
     ]
     tbl = pa.table({"doc_id": pa.array([d for d, _ in docs], pa.int64()),
                     "text": pa.array([t for _, t in docs], pa.string())})
-    out = percolate(rd.from_arrow(tbl), queries, concurrency=1).to_pandas()
-    got = {(r.doc_id, r.query_id): r.n_matched for r in out.itertuples()}
-    want = {}
-    for did, txt in docs:
-        toks = set(tokenize_simple(txt or ""))
-        for qid, terms, mm in queries:
-            n = len(set(terms) & toks)
-            if n >= mm:
-                want[(did, qid)] = n
-    assert got == want
+    edge = _edge_batch()
+    for tbl, docs in ((tbl, docs),
+                      (edge, list(zip(edge["doc_id"].to_pylist(),
+                                      EDGE_TEXTS)))):
+        out = percolate(rd.from_arrow(tbl), queries,
+                        concurrency=1).to_pandas()
+        got = {(r.doc_id, r.query_id): r.n_matched
+               for r in out.itertuples()}
+        want = {}
+        for did, txt in docs:
+            toks = set(tokenize_simple(txt or ""))
+            for qid, terms, mm in queries:
+                n = len(set(terms) & toks)
+                if n >= mm:
+                    want[(did, qid)] = n
+        assert got == want
     # vocab-width guard
     import pytest
     with pytest.raises(ValueError):
@@ -781,6 +877,7 @@ def test_percolate_matches_brute_force(rd):
 
 def test_unigram_ppl_matches_bruteforce(rd):
     import math
+    from collections import Counter
 
     from search_ingest_ray.analyzer import tokenize_simple
     from search_ingest_ray.functions.textstats import unigram_ppl
@@ -790,21 +887,32 @@ def test_unigram_ppl_matches_bruteforce(rd):
         {"doc_id": 2, "text": ""},            # empty → ce_micro 0
         {"doc_id": 3, "text": "qqq zzz"},     # all OOV at vocab_k=3
     ]
-    out = unigram_ppl(rd.from_items(docs), vocab_k=3).take_all()
-    got = {r["doc_id"]: (r["n_tokens"], r["ce_micro"]) for r in out}
-    # brute force: top-3 vocab by (count desc, word asc), add-one unigram
-    from collections import Counter
-    cnt = Counter(w for d in docs for w in tokenize_simple(d["text"]))
-    vocab = dict(sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:3])
-    total, v = sum(vocab.values()), len(vocab)
-    ln_norm = math.log(total + v + 1)
-    for d in docs:
-        toks = tokenize_simple(d["text"])
-        ssum = sum(int(math.floor(
-            (ln_norm - math.log(vocab.get(w, 0) + 1)) * 1e6)) for w in toks)
-        ce = ssum // len(toks) if toks else 0
-        assert got[d["doc_id"]] == (len(toks), ce), d
+    edge = _edge_batch()
+    edge_docs = [{"doc_id": i, "text": t}
+                 for i, t in zip(edge["doc_id"].to_pylist(), EDGE_TEXTS)]
+    got_by_input = []
+    for ds, docs_in in ((rd.from_items(docs), docs),
+                        (rd.from_arrow(edge), edge_docs)):
+        out = unigram_ppl(ds, vocab_k=3).take_all()
+        got = {r["doc_id"]: (r["n_tokens"], r["ce_micro"]) for r in out}
+        # brute force: top-3 vocab by (count desc, word asc), add-one
+        # unigram
+        cnt = Counter(w for d in docs_in
+                      for w in tokenize_simple(d["text"] or ""))
+        vocab = dict(sorted(cnt.items(),
+                            key=lambda kv: (-kv[1], kv[0]))[:3])
+        total, v = sum(vocab.values()), len(vocab)
+        ln_norm = math.log(total + v + 1)
+        for d in docs_in:
+            toks = tokenize_simple(d["text"] or "")
+            ssum = sum(int(math.floor(
+                (ln_norm - math.log(vocab.get(w, 0) + 1)) * 1e6))
+                for w in toks)
+            ce = ssum // len(toks) if toks else 0
+            assert got[d["doc_id"]] == (len(toks), ce), d
+        got_by_input.append(got)
     # ranking sanity: the all-common doc is lower-surprisal than all-OOV
+    got = got_by_input[0]
     assert got[0][1] < got[3][1]
 
 
@@ -819,15 +927,20 @@ def test_hashed_linear_score_matches_bruteforce(rd):
         {"doc_id": 2, "text": ""},               # token-less → 0 / drop
         {"doc_id": 3, "text": "zzz zzz zzz"},    # repeated token
     ]
-    out = hashed_linear_score(rd.from_items(docs)).take_all()
-    got = {r["doc_id"]: (r["n_tokens"], r["score_milli"], r["keep"])
-           for r in out}
-    assert len(got) == 4
-    for d in docs:
-        toks = tokenize_simple(d["text"])
-        s = sum((tok_hash_sql(w) % CLS_DIM) * CLS_MIX % 2001 - 1000
-                for w in toks)
-        assert got[d["doc_id"]] == (len(toks), s, s > 0), d
+    edge = _edge_batch()
+    edge_docs = [{"doc_id": i, "text": t}
+                 for i, t in zip(edge["doc_id"].to_pylist(), EDGE_TEXTS)]
+    for ds, docs in ((rd.from_items(docs), docs),
+                     (rd.from_arrow(edge), edge_docs)):
+        out = hashed_linear_score(ds).take_all()
+        got = {r["doc_id"]: (r["n_tokens"], r["score_milli"], r["keep"])
+               for r in out}
+        assert len(got) == len(docs)
+        for d in docs:
+            toks = tokenize_simple(d["text"] or "")
+            s = sum((tok_hash_sql(w) % CLS_DIM) * CLS_MIX % 2001 - 1000
+                    for w in toks)
+            assert got[d["doc_id"]] == (len(toks), s, s > 0), d
 
 
 def test_compression_ratio_discriminates():
@@ -877,19 +990,25 @@ def test_doc_keywords_vs_bruteforce(ray_session, sf_dir):
     for txt in texts:
         df.update(set(tokenize_simple(txt or "")))
     ext = KeywordExtractor(ray.put(dict(df)), n, top=3)
-    out = ext(t.slice(0, 50))
-    # independent reference for the first 50 docs
-    want = []
-    for did, txt in zip(t["doc_id"].to_pylist()[:50], texts[:50]):
-        c = Counter(tokenize_simple(txt or ""))
-        sc = sorted((-math.floor(tf * math.log(
-            1 + (n - df[term] + 0.5) / (df[term] + 0.5)) * 1e6), term)
-            for term, tf in c.items())[:3]
-        for r, (neg, term) in enumerate(sc, 1):
-            want.append((did, r, term, -neg))
-    got = list(zip(out["doc_id"].to_pylist(), out["rank"].to_pylist(),
-                   out["term"].to_pylist(), out["score_micro"].to_pylist()))
-    assert got == want
+    # independent reference for the first 50 docs and the edge cases,
+    # whose terms outside the corpus read df 1
+    edge = _edge_batch()
+    for batch, ids, texts in (
+            (t.slice(0, 50), t["doc_id"].to_pylist()[:50], texts[:50]),
+            (edge, edge["doc_id"].to_pylist(), EDGE_TEXTS)):
+        out = ext(batch)
+        want = []
+        for did, txt in zip(ids, texts):
+            c = Counter(tokenize_simple(txt or ""))
+            sc = sorted((-math.floor(tf * math.log(
+                1 + (n - df.get(term, 1) + 0.5) / (df.get(term, 1) + 0.5))
+                * 1e6), term) for term, tf in c.items())[:3]
+            for r, (neg, term) in enumerate(sc, 1):
+                want.append((did, r, term, -neg))
+        got = list(zip(out["doc_id"].to_pylist(), out["rank"].to_pylist(),
+                       out["term"].to_pylist(),
+                       out["score_micro"].to_pylist()))
+        assert got == want
 
 
 def test_incremental_dedup_vs_bruteforce(ray_session, tmp_path):
