@@ -78,20 +78,12 @@ def q_corpus_stats(sf_dir: str):
     })
 
 
-def _pool(cap: int = 4) -> int:
-    """Actor-pool size that always leaves CPU headroom for upstream stages
-    (a pool reserving every CPU deadlocks 2-CPU sessions)."""
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return max(1, min(cap, cpus - 1, cpus // 2)) or 1
-
-
 def _postings(sf_dir: str):
     from search_ingest_ray.stages.analyze import PostingEmitter
     emitter = PostingEmitter(text_col="text", id_col="doc_id",
                              id_is_int=True, analyzer="simple")
     return _docs(sf_dir).map_batches(emitter, batch_format="pyarrow",
-                                     batch_size=512, concurrency=_pool())
+                                     batch_size=512)
 
 
 def q_term_df(sf_dir: str):
@@ -1109,10 +1101,10 @@ DECONTAM_MOD = 97   # docs with doc_id % MOD == 0 form the "benchmark" slice
 def q_decontaminate(sf_dir: str):
     """GPT-3-style eval-set decontamination: flag corpus docs sharing any
     word-3-gram with the (broadcast) benchmark slice.  No shuffle — the
-    benchmark n-gram hash set is ray.put once and probed per batch."""
+    benchmark n-gram hash set rides the scoring task and is probed per
+    batch."""
     from search_ingest_ray.functions.decontam import decontaminate
-    return decontaminate(_docs(sf_dir), mod=DECONTAM_MOD, k=3,
-                         concurrency=_pool())
+    return decontaminate(_docs(sf_dir), mod=DECONTAM_MOD, k=3)
 
 
 def q_dup_ngrams(sf_dir: str):
@@ -1120,7 +1112,7 @@ def q_dup_ngrams(sf_dir: str):
     distinct 5-grams occur in ≥2 docs corpus-wide (exact integer micro
     fraction).  Shuffles 8-byte n-gram hashes, never text."""
     from search_ingest_ray.functions.decontam import dup_ngram_stats
-    return dup_ngram_stats(_docs(sf_dir), k=5, concurrency=_pool())
+    return dup_ngram_stats(_docs(sf_dir), k=5)
 
 
 FILTER_MIN_TOKENS = 30        # Gopher-style length floor
@@ -1145,13 +1137,12 @@ def q_corpus_filter(sf_dir: str):
     branch point of the vote streams; only the corpus-wide
     duplicate-5-gram signal makes a second pass over text (its n-gram
     shuffle needs one row per distinct 5-gram regardless).  Down from
-    four independent tokenize passes and three actor pools; values are
+    four independent tokenize passes; values are
     bit-identical to the unfused stages, so the SQL oracle is unchanged.
 
     Votes: each signal family emits (doc_id, ok); ONE doc_id-keyed
     groupby-sum combines them (a doc survives iff present with ok=1 in
     all four vote streams) — no driver-side joins."""
-    import ray
     import pyarrow.compute as pc
 
     from search_ingest_ray.functions.decontam import (CorpusSignalScorer,
@@ -1160,12 +1151,11 @@ def q_corpus_filter(sf_dir: str):
     from search_ingest_ray.stages.fold import partitioned_fold
     docs = _docs(sf_dir)
 
-    bench_ref = ray.put(benchmark_ngram_hashes(docs, mod=DECONTAM_MOD, k=3))
-    sig = docs.map_batches(
-        CorpusSignalScorer, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(bench_ref=bench_ref, mod=DECONTAM_MOD,
-                                   k=3),
-        concurrency=_pool(2)).materialize()  # scalars only — see docstring
+    scorer = CorpusSignalScorer(
+        benchmark_ngram_hashes(docs, mod=DECONTAM_MOD, k=3),
+        mod=DECONTAM_MOD, k=3)
+    # scalars only — see docstring
+    sig = docs.map_batches(scorer, batch_format="pyarrow").materialize()
 
     def sig_quality(t: pa.Table) -> pa.Table:
         ok = ((t["n_tokens"].to_numpy(zero_copy_only=False)
@@ -1189,7 +1179,7 @@ def q_corpus_filter(sf_dir: str):
         })
 
     s2 = sig.map_batches(sig_decontam, batch_format="pyarrow")
-    s3 = dup_ngram_stats(docs, k=5, concurrency=_pool(2)).map_batches(
+    s3 = dup_ngram_stats(docs, k=5).map_batches(
         lambda t: pa.table({
             "doc_id": t["doc_id"],
             "ok": pc.cast(pc.less_equal(t["dup_micro"],
@@ -1618,8 +1608,7 @@ def q_incremental_near_dup(sf_dir: str):
         write_minhash_state(
             _docs(sf_dir).map_batches(_prev, batch_format="pyarrow"),
             state, num_perm=32, bands=8, num_buckets=16)
-    return incremental_near_dup_filter(_docs(sf_dir), state,
-                                       concurrency=_pool(2))
+    return incremental_near_dup_filter(_docs(sf_dir), state)
 
 
 def q_dedup_exact(sf_dir: str):
@@ -1646,7 +1635,7 @@ def q_percolate(sf_dir: str):
     from search_ingest_ray.functions.textstats import percolate
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "text"])
-    return percolate(ds, _PERCOLATE_QUERIES, concurrency=_pool(2))
+    return percolate(ds, _PERCOLATE_QUERIES)
 
 
 def q_weighted_sample(sf_dir: str):
@@ -1722,7 +1711,8 @@ def q_pack_plan(sf_dir: str):
 def q_oov_rate(sf_dir: str):
     """Vocabulary-coverage quality signal: per-doc OOV fraction vs the
     corpus top-20 vocabulary, exact integer ppm.  One distinct-word pass
-    + ray.put-broadcast vocab; zero corpus shuffle
+    + the vocab carried in the scoring task's arguments; zero corpus
+    shuffle
     (functions/textstats.py oov_rate)."""
     import ray.data as rd
     from search_ingest_ray.functions.textstats import oov_rate
@@ -1735,8 +1725,8 @@ def q_unigram_ppl(sf_dir: str):
     """CCNet-style LM-quality score: per-doc cross-entropy under an
     add-one-smoothed unigram model of the corpus top-20 vocabulary, exact
     integer micro-nats per token (per-token floor before the sum keeps
-    the arithmetic association-free).  One distinct-word pass +
-    ray.put-broadcast model; zero corpus shuffle
+    the arithmetic association-free).  One distinct-word pass + the model
+    carried in the scoring task's arguments; zero corpus shuffle
     (functions/textstats.py unigram_ppl)."""
     import ray.data as rd
     from search_ingest_ray.functions.textstats import unigram_ppl
@@ -1755,7 +1745,7 @@ def q_quality_classifier(sf_dir: str):
     from search_ingest_ray.functions.textstats import hashed_linear_score
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "text"])
-    return hashed_linear_score(ds, concurrency=_pool(2))
+    return hashed_linear_score(ds)
 
 
 def q_bpe_pairs(sf_dir: str):
@@ -1794,17 +1784,16 @@ def q_bpe_merges(sf_dir: str):
 
 def q_bpe_tokenize(sf_dir: str):
     """Per-doc BPE token counts under the 30-merge table — the
-    production encode path (BPEEncodeStage actor pool, per-actor
-    word→encoding cache).  Rows-only (deterministic; the encode rule is
-    pytest-proven equal to training-order replay)."""
+    production encode path (a BPEEncodeStage task per batch, with a
+    per-process word→encoding cache).  Rows-only (deterministic; the
+    encode rule is pytest-proven equal to training-order replay)."""
     import ray.data as rd
     from search_ingest_ray.functions.bpe import BPEEncodeStage, train_bpe
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "text"])
     merges = train_bpe(ds, n_merges=30)
-    return ds.map_batches(BPEEncodeStage, batch_format="pyarrow",
-                          batch_size=256, concurrency=_pool(2),
-                          fn_constructor_kwargs={"merges": merges})
+    return ds.map_batches(BPEEncodeStage(merges), batch_format="pyarrow",
+                          batch_size=256)
 
 
 def q_sample_docs(sf_dir: str):
@@ -2361,8 +2350,7 @@ def q_semantic_dedup(sf_dir: str):
 
 def q_minhash_pairs(sf_dir: str):
     from search_ingest_ray.functions.dedup import minhash_candidate_pairs
-    return minhash_candidate_pairs(_docs(sf_dir), num_perm=32, bands=8,
-                                   concurrency=_pool())
+    return minhash_candidate_pairs(_docs(sf_dir), num_perm=32, bands=8)
 
 
 DEDUP_CLUSTER_THR = 500_000
@@ -2376,14 +2364,12 @@ def q_dedup_clusters(sf_dir: str):
     edges."""
     from search_ingest_ray.functions.dedup import dedup_clusters
     return dedup_clusters(_docs(sf_dir), num_perm=32, bands=8,
-                          jaccard_threshold_micro=DEDUP_CLUSTER_THR,
-                          concurrency=_pool())
+                          jaccard_threshold_micro=DEDUP_CLUSTER_THR)
 
 
 def q_simhash(sf_dir: str):
-    from search_ingest_ray.functions.dedup import SimHasher
-    ds = _docs(sf_dir).map_batches(SimHasher, batch_format="pyarrow",
-                                   concurrency=_pool(2))
+    from search_ingest_ray.functions.dedup import simhash_batch
+    ds = _docs(sf_dir).map_batches(simhash_batch, batch_format="pyarrow")
     return ds.select_columns(["doc_id", "simhash"])
 
 
@@ -2468,12 +2454,12 @@ WAV_AMP = 0.5       # quantizes to ±16383/32768 exactly
 def q_audio_features(sf_dir: str):
     """REAL audio decode, SQL-oracled end to end: a deterministic square
     wave (n_samples = 1000 + (n_chars%7)·100, half-period 10) is encoded
-    to PCM WAV per doc, the actor-pool stage decodes it with the stdlib
+    to PCM WAV per doc, the feature task decodes it with the stdlib
     codec, and DuckDB re-derives every feature analytically — RMS is
     exactly 16383/32768 (dyadic quantization, IEEE-exact), zero crossings
     are (n-1)//half."""
     from search_ingest_ray.functions.imagecodec import encode_wav
-    from search_ingest_ray.functions.multimodal import AudioFeatureStage
+    from search_ingest_ray.functions.multimodal import audio_feature_batch
 
     def to_wav(t: pa.Table) -> pa.Table:
         wavs = []
@@ -2486,9 +2472,8 @@ def q_audio_features(sf_dir: str):
                          "data": pa.array(wavs, pa.binary())})
 
     ds = (_docs(sf_dir).map_batches(to_wav, batch_format="pyarrow")
-          .map_batches(AudioFeatureStage, batch_format="pyarrow",
-                       batch_size=64, concurrency=_pool(8),
-                       fn_constructor_kwargs={"strict": True}))
+          .map_batches(audio_feature_batch, batch_format="pyarrow",
+                       batch_size=64, fn_kwargs={"strict": True}))
     return ds.map_batches(
         lambda t: pa.table({
             "doc_id": t["media_id"].cast(pa.int64()),
@@ -2501,11 +2486,11 @@ def q_audio_features(sf_dir: str):
 
 def q_image_features(sf_dir: str):
     """Multimodal with REAL pixel decode: a deterministic 16×16 PNG is
-    synthesized per doc (seeded by doc_id), then the actor-pool stage
+    synthesized per doc (seeded by doc_id), then the feature task
     decodes the actual pixels (stdlib zlib codec) and emits
     pixel-statistics features — decoded=True end to end."""
     from search_ingest_ray.functions.imagecodec import encode_png
-    from search_ingest_ray.functions.multimodal import ImageFeatureStage
+    from search_ingest_ray.functions.multimodal import image_feature_batch
 
     def to_binary(t: pa.Table) -> pa.Table:
         from search_ingest_ray.functions.jpegcodec import encode_jpeg
@@ -2523,9 +2508,8 @@ def q_image_features(sf_dir: str):
                          "data": pa.array(imgs, pa.binary())})
 
     ds = _docs(sf_dir).map_batches(to_binary, batch_format="pyarrow")
-    return ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                          batch_size=64, concurrency=_pool(8),
-                          fn_constructor_kwargs={"strict": True})
+    return ds.map_batches(image_feature_batch, batch_format="pyarrow",
+                          batch_size=64, fn_kwargs={"strict": True})
 
 
 def q_jpeg_features(sf_dir: str):
@@ -2538,7 +2522,7 @@ def q_jpeg_features(sf_dir: str):
     the one-hot luminance bin analytically.  A wrong bit anywhere in the
     codec breaks the identity."""
     from search_ingest_ray.functions.jpegcodec import encode_jpeg
-    from search_ingest_ray.functions.multimodal import ImageFeatureStage
+    from search_ingest_ray.functions.multimodal import image_feature_batch
 
     def to_jpeg(t: pa.Table) -> pa.Table:
         imgs = []
@@ -2553,9 +2537,8 @@ def q_jpeg_features(sf_dir: str):
                          "data": pa.array(imgs, pa.binary())})
 
     ds = (_docs(sf_dir).map_batches(to_jpeg, batch_format="pyarrow")
-          .map_batches(ImageFeatureStage, batch_format="pyarrow",
-                       batch_size=64, concurrency=_pool(8),
-                       fn_constructor_kwargs={"strict": True}))
+          .map_batches(image_feature_batch, batch_format="pyarrow",
+                       batch_size=64, fn_kwargs={"strict": True}))
 
     def extract(t: pa.Table) -> pa.Table:
         feats = np.asarray(t["feature"].combine_chunks()
@@ -2587,7 +2570,7 @@ def q_gif_features(sf_dir: str):
     (a ≡ 8/24 mod 32 keeps ulp margin).  A wrong bit anywhere in LZW,
     palette mapping, interlace or compositing breaks the counts."""
     from search_ingest_ray.functions.gifcodec import encode_gif
-    from search_ingest_ray.functions.multimodal import ImageFeatureStage
+    from search_ingest_ray.functions.multimodal import image_feature_batch
 
     def to_gif(t: pa.Table) -> pa.Table:
         imgs = []
@@ -2607,9 +2590,8 @@ def q_gif_features(sf_dir: str):
                          "data": pa.array(imgs, pa.binary())})
 
     ds = (_docs(sf_dir).map_batches(to_gif, batch_format="pyarrow")
-          .map_batches(ImageFeatureStage, batch_format="pyarrow",
-                       batch_size=64, concurrency=_pool(8),
-                       fn_constructor_kwargs={"strict": True}))
+          .map_batches(image_feature_batch, batch_format="pyarrow",
+                       batch_size=64, fn_kwargs={"strict": True}))
 
     def extract(t: pa.Table) -> pa.Table:
         feats = np.asarray(t["feature"].combine_chunks()
@@ -2646,15 +2628,15 @@ def q_video_features(sf_dir: str):
     short chunk) — of four solid-gray q75 frames.  gray_k =
     40+((id+3k)%13)·16 rides the JPEG exactness anchor, so every sampled
     frame's mean luminance is analytically exact regardless of container;
-    doc_id%5==0 frames carry restart markers.  FrameSampleStage(frames=3)
-    picks frames [0, 1, 3] of 4 (unique(linspace(0,3,3)→int)), which
-    DuckDB reproduces with a VALUES list.  A wrong byte in the RIFF walk,
+    doc_id%5==0 frames carry restart markers.  frame_sample_batch with
+    frames=3 picks frames [0, 1, 3] of 4 (unique(linspace(0,3,3)→int)),
+    which DuckDB reproduces with a VALUES list.  A wrong byte in the RIFF walk,
     box walk, stsc/stco/stsz math, chunk padding, or any frame's
     Huffman/IDCT breaks the per-frame grays."""
     from search_ingest_ray.functions.avicodec import encode_avi_mjpeg
     from search_ingest_ray.functions.jpegcodec import encode_jpeg
     from search_ingest_ray.functions.mp4codec import encode_mp4_mjpeg
-    from search_ingest_ray.functions.multimodal import FrameSampleStage
+    from search_ingest_ray.functions.multimodal import frame_sample_batch
 
     def to_vid(t: pa.Table) -> pa.Table:
         vids = []
@@ -2676,9 +2658,9 @@ def q_video_features(sf_dir: str):
                          "data": pa.array(vids, pa.binary())})
 
     ds = (_docs(sf_dir).map_batches(to_vid, batch_format="pyarrow")
-          .map_batches(FrameSampleStage, batch_format="pyarrow",
-                       batch_size=64, concurrency=_pool(8),
-                       fn_constructor_kwargs={"frames": 3, "strict": True}))
+          .map_batches(frame_sample_batch, batch_format="pyarrow",
+                       batch_size=64,
+                       fn_kwargs={"frames": 3, "strict": True}))
 
     def extract(t: pa.Table) -> pa.Table:
         feats = np.asarray(t["feature"].combine_chunks()
@@ -2952,24 +2934,19 @@ KEYWORDS_TOP = 3
 
 def q_doc_keywords(sf_dir: str):
     """Per-doc top-3 TF-IDF keywords (textstats.KeywordExtractor): exact
-    global df aggregated once, broadcast via ray.put, read per actor —
-    the broadcast-join shape; docs stream embarrassingly parallel.
+    global df aggregated once and carried by the extractor task — the
+    broadcast-join shape; docs stream embarrassingly parallel.
     Scores in the more_like_this tf·idf micro units (bit-identical SQL
     oracle)."""
-    import ray
-
     from search_ingest_ray.functions.textstats import KeywordExtractor
     dfr = _postings(sf_dir).groupby("term").count().take_all()
     df = {r["term"]: int(r["count()"]) for r in dfr}
     import pyarrow.parquet as _pq
     n_docs = _pq.read_metadata(
         os.path.join(sf_dir, "documents.parquet")).num_rows
-    df_ref = ray.put(df)
     return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        KeywordExtractor, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(df_ref=df_ref, n_docs=n_docs,
-                                   top=KEYWORDS_TOP),
-        concurrency=_pool(2))
+        KeywordExtractor(df, n_docs, top=KEYWORDS_TOP),
+        batch_format="pyarrow")
 
 
 def q_compression_ratio(sf_dir: str):
@@ -2989,21 +2966,21 @@ BLOCKED_HOSTS = ("host3.example.com", "host17.example.com",
 def q_url_blocklist(sf_dir: str):
     """Domain-blocklist filtering (the Dolma/CCNet URL-filter stage):
     drop every page whose canonical host is on a blocklist.  The
-    blocklist is broadcast ONCE (ray.put → read per task), the filter is
-    one vectorized pc.is_in inside map_batches — zero shuffle; at 100 TB
-    the blocklist (even millions of hosts) rides the object store while
-    pages stream through untouched.  Returns surviving (doc_id, host)."""
-    import ray
+    blocklist is an Arrow array captured by the task's function (Ray
+    Data ships it once per operator), the filter is one vectorized
+    pc.is_in inside map_batches — zero shuffle; at 100 TB the blocklist
+    (even millions of hosts) rides the object store while pages stream
+    through untouched.  Returns surviving (doc_id, host)."""
     import pyarrow.compute as pc
 
     from search_ingest_ray.functions.urltools import (canonicalize_urls,
                                                       host_of)
-    blocked_ref = ray.put(pa.array(list(BLOCKED_HOSTS), pa.string()))
+    blocked = pa.array(list(BLOCKED_HOSTS), pa.string())
 
     def kern(batch: pa.Table) -> pa.Table:
         urls, _ = _messy_urls(batch["doc_id"])
         host = host_of(canonicalize_urls(urls))
-        keep = pc.invert(pc.is_in(host, value_set=ray.get(blocked_ref)))
+        keep = pc.invert(pc.is_in(host, value_set=blocked))
         return pa.table({"doc_id": batch["doc_id"],
                          "host": host}).filter(keep)
 

@@ -24,7 +24,7 @@ against it, and per-doc consumers such as shingle hashing call it), and
 one flat token array plus per-doc counts for a whole Arrow column, built
 from Arrow C kernels.
 
-Stateful wrappers for Ray actor pools live in ``stages/analyze.py``; this
+Stateful wrappers for Ray map stages live in ``stages/analyze.py``; this
 module is deliberately Ray-free so it can serve as the brute-force oracle.
 """
 

@@ -20,8 +20,8 @@ Scale shape — the only full-corpus passes are embarrassingly parallel:
    similarity.ivf_fit's training sample) and runs the EXACT classic
    merge loop driver-side with incremental pair bookkeeping —
    O(merges × affected words), not O(merges × vocab).
-4. ``BPEEncodeStage``: actor-pool apply; per-actor word→encoding cache
-   (Zipf makes the hit rate extreme), merges applied in rank order.
+4. ``BPEEncodeStage``: task-based apply; per-process word→encoding
+   cache (Zipf makes the hit rate extreme), merges applied in rank order.
 
 Determinism: ties in the merge argmax break on (−count, pair) — the
 lexicographically smallest pair wins — so the merge table is a pure
@@ -194,30 +194,31 @@ def train_bpe(ds, *, text_col: str = "text", n_merges: int = 100,
                           [r["c"] for r in top], n_merges)
 
 
-class BPEEncodeStage:
-    """Actor-pool stage: encode ``text_col`` with a trained merge table,
-    emitting per-doc BPE token counts (and optionally the tokens).
+# word → encoding caches, one per merge table, kept per process: a Ray
+# task worker is reused across tasks, so the Zipf head stays dict hits
+_ENCODE_CACHES: dict[tuple, dict[str, tuple]] = {}
+_ENCODE_CACHE_CAP = 1 << 20
 
-    Merge ranks load once per actor; encoding applies the LOWEST-RANK
-    applicable merge repeatedly (the standard inference rule, equivalent
-    to replaying training order).  A per-actor word→tokens cache turns
-    the Zipf head into dict hits."""
+
+class BPEEncodeStage:
+    """map_batches stage: encode ``text_col`` with a trained merge table,
+    emitting per-doc BPE token counts ``n_bpe``.
+
+    Build it once on the driver (``BPEEncodeStage(merges)``) and pass the
+    instance: Ray Data runs it as a task.  Encoding applies the
+    LOWEST-RANK applicable merge repeatedly (the standard inference rule,
+    equivalent to replaying training order); the per-process
+    word→tokens cache of this merge table turns the Zipf head into dict
+    hits."""
 
     def __init__(self, merges: list[tuple[str, str]],
-                 text_col: str = "text", id_col: str = "doc_id",
-                 emit_tokens: bool = False, cache_cap: int = 1 << 20):
-        self.merges = [tuple(m) for m in merges]
+                 text_col: str = "text", id_col: str = "doc_id"):
+        self.merges = tuple(tuple(m) for m in merges)
         self.rank = {m: i for i, m in enumerate(self.merges)}
         self.text_col = text_col
         self.id_col = id_col
-        self.emit_tokens = emit_tokens
-        self.cache: dict[str, tuple] = {}
-        self.cache_cap = cache_cap
 
     def _encode(self, word: str) -> tuple:
-        got = self.cache.get(word)
-        if got is not None:
-            return got
         seq = tuple(word)
         rank = self.rank
         while len(seq) > 1:
@@ -230,24 +231,20 @@ class BPEEncodeStage:
                 break
             a, b = self.merges[best]
             seq = _merge_word(seq, a, b)
-        if len(self.cache) >= self.cache_cap:
-            self.cache.clear()
-        self.cache[word] = seq
         return seq
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col]
-        n_out, toks_out = [], []
+        cache = _ENCODE_CACHES.setdefault(self.merges, {})
+        n_out = []
         for txt in batch[self.text_col].to_pylist():
-            toks: list[str] = []
+            n = 0
             for w in tokenize_simple(txt or ""):
-                toks.extend(self._encode(w))
-            n_out.append(len(toks))
-            if self.emit_tokens:
-                toks_out.append(toks)
-        cols = {self.id_col: ids,
-                "n_bpe": pa.array(n_out, pa.int64())}
-        if self.emit_tokens:
-            cols["bpe_tokens"] = pa.array(toks_out,
-                                          pa.list_(pa.string()))
-        return pa.table(cols)
+                seq = cache.get(w)
+                if seq is None:
+                    if len(cache) >= _ENCODE_CACHE_CAP:
+                        cache.clear()
+                    seq = cache[w] = self._encode(w)
+                n += len(seq)
+            n_out.append(n)
+        return pa.table({self.id_col: batch[self.id_col],
+                         "n_bpe": pa.array(n_out, pa.int64())})

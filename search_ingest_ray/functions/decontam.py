@@ -9,10 +9,11 @@ the reference (its dedup surface is upsert-by-id,
 
 - :func:`decontaminate` — flag corpus docs sharing any word-k-gram with a
   small, fixed benchmark/eval set.  The benchmark n-gram hash set is
-  computed once, ``ray.put``-broadcast, and probed per batch with a
-  searchsorted membership test — NO shuffle; the corpus streams through a
-  single actor-pool map_batches.  At 100 TB the eval set stays MB-sized
-  (it is an eval set), so broadcast is the right shape.
+  computed once on the driver, carried by the scoring task, and probed
+  per batch with a searchsorted membership test — NO shuffle; the corpus
+  streams through a single task-based map_batches.  At 100 TB the eval
+  set stays MB-sized (it is an eval set), so broadcast is the right
+  shape.
 - :func:`dup_ngram_stats` — per-doc count/fraction of its DISTINCT
   k-grams that occur in ≥2 distinct docs corpus-wide.  Shuffle key is the
   64-bit n-gram hash, never text: per-doc-distinct (hash, doc) pairs →
@@ -58,16 +59,14 @@ def _batch_distinct_shingles(hasher: ShingleHasher, batch: pa.Table,
 
 
 class DecontamScorer:
-    """Actor-pool map_batches stage: per doc, how many of its distinct
-    k-grams appear in the broadcast benchmark set.  The benchmark array is
-    fetched from the object store ONCE per actor (``__init__``); each
-    batch is a vectorized searchsorted probe."""
+    """map_batches stage: per doc, how many of its distinct k-grams
+    appear in the benchmark set.  Build it once on the driver: the sorted
+    benchmark array travels with the instance, which Ray Data runs as a
+    task and ships to the object store once per operator; each batch is
+    a vectorized searchsorted probe."""
 
-    def __init__(self, bench_ref, k: int = 3, text_col: str = "text",
+    def __init__(self, bench, k: int = 3, text_col: str = "text",
                  id_col: str = "doc_id"):
-        import ray
-        bench = (ray.get(bench_ref)
-                 if isinstance(bench_ref, ray.ObjectRef) else bench_ref)
         self.bench = np.sort(np.asarray(bench, dtype=np.uint64))
         self.hasher = ShingleHasher(k)
         self.text_col, self.id_col = text_col, id_col
@@ -117,23 +116,20 @@ def benchmark_ngram_hashes(ds, *, mod: int = 97, k: int = 3,
 
 
 def decontaminate(ds, *, mod: int = 97, k: int = 3, text_col: str = "text",
-                  id_col: str = "doc_id", concurrency: int = 4):
+                  id_col: str = "doc_id"):
     """Score every NON-benchmark doc against the benchmark slice's k-gram
     set.  Returns Dataset(doc_id, n_ngrams, n_shared, contaminated)."""
-    import ray
-    bench_ref = ray.put(benchmark_ngram_hashes(
-        ds, mod=mod, k=k, text_col=text_col, id_col=id_col))
+    scorer = DecontamScorer(
+        benchmark_ngram_hashes(ds, mod=mod, k=k, text_col=text_col,
+                               id_col=id_col),
+        k=k, text_col=text_col, id_col=id_col)
 
     def _drop_bench(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         return batch.filter(pa.array(ids % mod != 0))
 
     return (ds.map_batches(_drop_bench, batch_format="pyarrow")
-              .map_batches(DecontamScorer, batch_format="pyarrow",
-                           fn_constructor_kwargs=dict(
-                               bench_ref=bench_ref, k=k,
-                               text_col=text_col, id_col=id_col),
-                           concurrency=concurrency))
+              .map_batches(scorer, batch_format="pyarrow"))
 
 
 class CorpusSignalScorer:
@@ -143,8 +139,10 @@ class CorpusSignalScorer:
     exact-dedup content hash — the fused form of the
     quality_batch → repetition_batch → langid_batch → DecontamScorer →
     content_hash_batch chain: one ``tokenize_simple_batch`` stream per
-    batch feeds the textstats reductions and the shingle probe, with one
-    md5-low64 token cache (:class:`~.dedup.ShingleHasher`) per actor.
+    batch feeds the textstats reductions and the shingle probe
+    (:class:`~.dedup.ShingleHasher`, over the per-process md5-low64 token
+    cache).  Built once on the driver with the benchmark hash array and
+    run as a Ray Data task.
 
     Emits per-doc SCALARS only (ids, counts, micro-ratios, hashes —
     never text), so the output is safe to ``materialize()`` as the
@@ -156,11 +154,8 @@ class CorpusSignalScorer:
     integer micro-unit arithmetic), so the corpus_filter SQL oracle is
     unchanged."""
 
-    def __init__(self, bench_ref, mod: int = 97, k: int = 3,
+    def __init__(self, bench, mod: int = 97, k: int = 3,
                  text_col: str = "text", id_col: str = "doc_id"):
-        import ray
-        bench = (ray.get(bench_ref)
-                 if isinstance(bench_ref, ray.ObjectRef) else bench_ref)
         self.bench = np.sort(np.asarray(bench, dtype=np.uint64))
         self.hasher = ShingleHasher(k)
         self.mod = mod
@@ -212,22 +207,15 @@ class CorpusSignalScorer:
 # -- duplicate-n-gram fraction -------------------------------------------------
 
 
-class NgramPairEmitter:
-    """map_batches stage: doc → one row per DISTINCT k-gram
-    (h:int64-view, doc_id).  Token-hash cache is per actor."""
-
-    def __init__(self, k: int = 5, text_col: str = "text",
-                 id_col: str = "doc_id"):
-        self.hasher = ShingleHasher(k)
-        self.text_col, self.id_col = text_col, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        flat, counts, ids = _batch_distinct_shingles(
-            self.hasher, batch, self.text_col, self.id_col)
-        return pa.table({
-            "h": pa.array(flat.view(np.int64)),
-            self.id_col: pa.array(np.repeat(ids, counts)),
-        })
+def _ngram_pairs_batch(batch: pa.Table, *, k: int, text_col: str,
+                       id_col: str) -> pa.Table:
+    """doc → one row per DISTINCT k-gram (h:int64-view, doc_id)."""
+    flat, counts, ids = _batch_distinct_shingles(ShingleHasher(k), batch,
+                                                 text_col, id_col)
+    return pa.table({
+        "h": pa.array(flat.view(np.int64)),
+        id_col: pa.array(np.repeat(ids, counts)),
+    })
 
 
 def _dup_scan_partition(group: pa.Table, *, id_col: str = "doc_id",
@@ -262,15 +250,13 @@ def _dup_scan_partition(group: pa.Table, *, id_col: str = "doc_id",
 
 
 def dup_ngram_stats(ds, *, k: int = 5, text_col: str = "text",
-                    id_col: str = "doc_id", num_partitions: int = 32,
-                    concurrency: int = 4):
+                    id_col: str = "doc_id", num_partitions: int = 32):
     """Per-doc duplicate-n-gram stats: Dataset(doc_id, n_distinct, n_dup,
     dup_micro) where ``dup_micro = n_dup·10⁶ // n_distinct`` — the Lee et
     al. cross-doc duplication signal in exact integer micro-units."""
     pairs = ds.map_batches(
-        NgramPairEmitter, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(k=k, text_col=text_col, id_col=id_col),
-        concurrency=concurrency)
+        _ngram_pairs_batch, batch_format="pyarrow",
+        fn_kwargs=dict(k=k, text_col=text_col, id_col=id_col))
     tagged = pairs.map_batches(
         functools.partial(_tag_partition, key_cols=["h"],
                           num_partitions=num_partitions),

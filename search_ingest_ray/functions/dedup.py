@@ -9,7 +9,7 @@ Ray Data shapes (all shuffle on a SMALL derived key, never on raw text):
            emission (Python touches only multi-member buckets) → native
            groupby count for cross-band pair dedup
 - simhash: 64-bit weighted token-hash signature (batch-vectorized with a
-           per-actor token-hash cache); near-dup candidates via banding on
+           per-process token-hash cache); near-dup candidates via banding on
            bit slices (any equal slice ⇒ hamming ≤ chunks-1 by pigeonhole),
            verified by exact vectorized hamming distance
 
@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 
 from ..analyzer import tokenize_simple
 from ..stages.fold import partitioned_fold, _tag_partition, _PART_COL
-from ..util import tok_hash_sql
+from ..util import chaos_kill_once, tok_hash_sql
 
 # -- exact dedup -------------------------------------------------------------
 
@@ -390,13 +390,28 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, k: int = 3) -> np
     return vals.min(axis=1)
 
 
+# md5-low64 token hashes (SQL parity: ``md5_number_lower``), cached per
+# process: a Ray task worker is reused across tasks, so every shingle and
+# simhash stage it runs shares one cache over the heavy-tailed vocabulary
+_TOK_HASHES: dict[str, int] = {}
+
+
+def _tok_hash(tok: str) -> int:
+    h = _TOK_HASHES.get(tok)
+    if h is None:
+        h = tok_hash_sql(tok)
+        if len(_TOK_HASHES) < 2_000_000:
+            _TOK_HASHES[tok] = h
+    return h
+
+
 class ShingleHasher:
-    """Vectorized word-k-gram hasher with a per-instance md5-low64 token
-    cache (SQL parity: ``md5_number_lower``): per-token hashes are computed
-    once per DISTINCT token (cached across batches), then k-gram shingle
-    hashes are a strided position-weighted polynomial mix in numpy (wraps
-    mod 2^64).  Shared by MinHash emission, benchmark decontamination and
-    duplicate-n-gram scoring so all three reproduce in pure-SQL oracles."""
+    """Vectorized word-k-gram hasher over the per-process md5-low64 token
+    cache: per-token hashes are computed once per DISTINCT token, then
+    k-gram shingle hashes are a strided position-weighted polynomial mix
+    in numpy (wraps mod 2^64).  Shared by MinHash emission, benchmark
+    decontamination and duplicate-n-gram scoring so all three reproduce
+    in pure-SQL oracles."""
 
     MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
                     0x165667B19E3779F9, 0x27D4EB2F165667C5,
@@ -405,15 +420,6 @@ class ShingleHasher:
     def __init__(self, k: int):
         assert k <= len(self.MIX)
         self.k = k
-        self._tok_cache: dict[str, int] = {}
-
-    def _tok_hash(self, tok: str) -> int:
-        h = self._tok_cache.get(tok)
-        if h is None:
-            h = tok_hash_sql(tok)  # SQL-parity: md5_number_lower(tok)
-            if len(self._tok_cache) < 2_000_000:
-                self._tok_cache[tok] = h
-        return h
 
     def doc_shingles(self, text: str) -> np.ndarray:
         """All k-gram hashes of ``text`` (simple-analyzed, padded with ''
@@ -425,8 +431,8 @@ class ShingleHasher:
         stage tokenizes once and feeds every signal family)."""
         if len(toks) < self.k:
             toks = list(toks) + [""] * (self.k - len(toks))
-        th = self._tok_hash
-        h = np.fromiter((th(t) for t in toks), dtype=np.uint64, count=len(toks))
+        h = np.fromiter((_tok_hash(t) for t in toks), dtype=np.uint64,
+                        count=len(toks))
         # k-gram polynomial mix: position-weighted sum over the window
         # (order-sensitive, wraps mod 2^64) — vectorized over all windows
         nsh = len(toks) - self.k + 1
@@ -439,10 +445,10 @@ class ShingleHasher:
 class MinHashEmitter:
     """map_batches stage: doc → ``bands`` rows (band, band_hash, id).
 
-    Permutation parameters and the :class:`ShingleHasher` token cache are
-    built once per actor (stateful setup); the whole emit→band→pair
-    pipeline is reproducible by the pure-SQL DuckDB oracle in
-    ``__ray_entry__``."""
+    Build it once on the driver and pass the instance to ``map_batches``:
+    the permutation parameters travel with it and Ray Data runs it as a
+    task.  The whole emit→band→pair pipeline is reproducible by the
+    pure-SQL DuckDB oracle in ``__ray_entry__``."""
 
     _SHINGLE_MIX = ShingleHasher.MIX   # oracle constants alias
 
@@ -459,9 +465,6 @@ class MinHashEmitter:
         self._band_mix = np.arange(1, self.rows_per_band + 1,
                                    dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
-    def _doc_shingles(self, text: str) -> np.ndarray:
-        return self._shingler.doc_shingles(text)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_col].to_numpy(zero_copy_only=False)
         texts = batch[self.text_col].to_pylist()
@@ -470,7 +473,7 @@ class MinHashEmitter:
         band_hashes = np.empty((n, self.bands), dtype=np.int64)
         a, b = self.a, self.b
         for i, t in enumerate(texts):
-            sh = self._doc_shingles(t) % _MERSENNE
+            sh = self._shingler.doc_shingles(t) % _MERSENNE
             sig = ((a[:, None] * sh[None, :] + b[:, None]) % _MERSENNE).min(axis=1)
             bandsig = sig.reshape(self.bands, self.rows_per_band)
             mixed = (bandsig * self._band_mix[None, :]).sum(axis=1,
@@ -486,7 +489,6 @@ class MinHashEmitter:
 def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                             num_perm: int = 64, bands: int = 16,
                             shingle_k: int = 3, seed: int = 7,
-                            concurrency: int | None = None,
                             num_partitions: int = 32):
     """LSH candidate duplicate pairs (a < b), deduplicated across bands.
 
@@ -494,11 +496,8 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     → vectorized pair emission per partition → native distinct aggregate.
     No per-bucket or per-pair Python UDF calls."""
     emitted = ds.map_batches(
-        MinHashEmitter, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col,
-                                   num_perm=num_perm, bands=bands,
-                                   shingle_k=shingle_k, seed=seed),
-        concurrency=concurrency or 4)
+        MinHashEmitter(text_col, id_col, num_perm, bands, shingle_k, seed),
+        batch_format="pyarrow")
     tagged = emitted.map_batches(
         functools.partial(_tag_partition, key_cols=["band", "band_hash"],
                           num_partitions=num_partitions),
@@ -523,7 +522,6 @@ def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
 def dedup_clusters(ds, text_col: str = "text", id_col: str = "doc_id",
                    num_perm: int = 32, bands: int = 8, shingle_k: int = 3,
                    seed: int = 7, jaccard_threshold_micro: int = 500_000,
-                   concurrency: int | None = None,
                    max_driver_edges: int = 2_000_000,
                    cc_num_partitions: int = 16, cc_max_iters: int = 64):
     """Duplicate CLUSTERING — the canonicalization step a training-data
@@ -551,8 +549,7 @@ def dedup_clusters(ds, text_col: str = "text", id_col: str = "doc_id",
     Returns a Dataset of (``id_col``, ``cluster``)."""
     pairs_ds = minhash_candidate_pairs(
         ds, text_col=text_col, id_col=id_col, num_perm=num_perm,
-        bands=bands, shingle_k=shingle_k, seed=seed,
-        concurrency=concurrency).materialize()
+        bands=bands, shingle_k=shingle_k, seed=seed).materialize()
     if pairs_ds.count() > max_driver_edges:
         return _cluster_distributed_cc(
             ds, pairs_ds, text_col=text_col, id_col=id_col,
@@ -935,68 +932,47 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class SimHasher:
-    """Actor-pool simhash stage: 64-bit SimHash over simple-analyzed tokens
-    weighted by tf, batch-vectorized.
-
-    Per-token md5-low64 hashes (SQL parity: ``md5_number_lower``) are
-    cached across batches (token vocabulary is heavy-tailed); the
-    accumulate step is one np.add.at over a (docs × 64) matrix per batch
-    instead of a per-token 64-wide Python loop."""
-
-    def __init__(self, text_col: str = "text", out_col: str = "simhash"):
-        self.text_col, self.out_col = text_col, out_col
-        self._cache: dict[str, int] = {}
-        self._weights = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-
-    def _tok_hash(self, tok: str) -> int:
-        h = self._cache.get(tok)
-        if h is None:
-            h = tok_hash_sql(tok)  # SQL-parity: md5_number_lower(tok)
-            if len(self._cache) < 2_000_000:
-                self._cache[tok] = h
-        return h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        n = len(texts)
-        doc_idx, tok_hashes, tfs = [], [], []
-        from collections import Counter
-        th = self._tok_hash
-        for i, t in enumerate(texts):
-            c = Counter(tokenize_simple(t or ""))
-            doc_idx.extend([i] * len(c))
-            tok_hashes.extend(th(tok) for tok in c)
-            tfs.extend(c.values())
-        if tok_hashes:
-            hs = np.array(tok_hashes, dtype=np.uint64)
-            w = np.array(tfs, dtype=np.int64)
-            d = np.array(doc_idx, dtype=np.int64)
-            bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
-                    & np.uint64(1)).astype(np.int64)
-            contrib = (2 * bits - 1) * w[:, None]
-            acc = np.zeros((n, 64), dtype=np.int64)
-            np.add.at(acc, d, contrib)
-            sh = ((acc > 0).astype(np.uint64) * self._weights[None, :]) \
-                .sum(axis=1, dtype=np.uint64)
-        else:
-            sh = np.zeros(n, dtype=np.uint64)
-        return batch.append_column(self.out_col,
-                                   pa.array(sh.astype(np.int64)))
-
-
-def simhash64(text: str) -> int:
-    """64-bit SimHash over simple-analyzed tokens weighted by tf (scalar
-    convenience wrapper around the vectorized :class:`SimHasher`)."""
-    t = pa.table({"text": [text]})
-    return int(SimHasher()(t)["simhash"][0].as_py()) & ((1 << 64) - 1)
+_SIMHASH_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def simhash_batch(batch: pa.Table, *, text_col: str = "text",
                   out_col: str = "simhash") -> pa.Table:
-    """Stateless function form (one-shot hash cache) — prefer passing
-    :class:`SimHasher` to map_batches for actor-pool caching."""
-    return SimHasher(text_col=text_col, out_col=out_col)(batch)
+    """64-bit SimHash over simple-analyzed tokens weighted by tf,
+    batch-vectorized; appends ``out_col``.
+
+    Per-token md5-low64 hashes (SQL parity: ``md5_number_lower``) come
+    from the per-process token cache (the vocabulary is heavy-tailed);
+    the accumulate step is one np.add.at over a (docs × 64) matrix per
+    batch instead of a per-token 64-wide Python loop."""
+    from collections import Counter
+    texts = batch[text_col].to_pylist()
+    n = len(texts)
+    doc_idx, tok_hashes, tfs = [], [], []
+    for i, t in enumerate(texts):
+        c = Counter(tokenize_simple(t or ""))
+        doc_idx.extend([i] * len(c))
+        tok_hashes.extend(_tok_hash(tok) for tok in c)
+        tfs.extend(c.values())
+    if tok_hashes:
+        hs = np.array(tok_hashes, dtype=np.uint64)
+        w = np.array(tfs, dtype=np.int64)
+        d = np.array(doc_idx, dtype=np.int64)
+        bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
+                & np.uint64(1)).astype(np.int64)
+        contrib = (2 * bits - 1) * w[:, None]
+        acc = np.zeros((n, 64), dtype=np.int64)
+        np.add.at(acc, d, contrib)
+        sh = ((acc > 0).astype(np.uint64) * _SIMHASH_BITS[None, :]) \
+            .sum(axis=1, dtype=np.uint64)
+    else:
+        sh = np.zeros(n, dtype=np.uint64)
+    return batch.append_column(out_col, pa.array(sh.astype(np.int64)))
+
+
+def simhash64(text: str) -> int:
+    """64-bit SimHash of one text (scalar wrapper of :func:`simhash_batch`)."""
+    t = pa.table({"text": [text]})
+    return int(simhash_batch(t)["simhash"][0].as_py()) & ((1 << 64) - 1)
 
 
 def hamming64(a: int, b: int) -> int:
@@ -1049,9 +1025,8 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
     assert 64 % chunks == 0
     bits = 64 // chunks
     mask = np.uint64((1 << bits) - 1)
-    hashed = ds.map_batches(SimHasher, batch_format="pyarrow",
-                            fn_constructor_kwargs={"text_col": text_col},
-                            concurrency=2)
+    hashed = ds.map_batches(simhash_batch, batch_format="pyarrow",
+                            fn_kwargs={"text_col": text_col})
 
     def explode(batch: pa.Table) -> pa.Table:
         sh = batch["simhash"].to_numpy().astype(np.uint64)
@@ -1084,6 +1059,30 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
 # -- incremental (cross-epoch) exact dedup -----------------------------------
 
 
+def _publish_state(rows, state_dir: str, partition_col: str, meta: dict,
+                   chaos_stage: str) -> str:
+    """Write ``rows`` (hive-partitioned on ``partition_col``) and then
+    ``_STATE_META.json`` into the temp sibling ``<state_dir>.tmp``, and
+    rename that over ``state_dir``.  A crash anywhere before the rename
+    leaves ``state_dir`` as it was, so a rerun that finds no meta
+    rewrites the state whole instead of appending a second copy of the
+    rows to a half-written directory."""
+    import json
+    import os
+    import shutil
+
+    tmp = state_dir.rstrip("/") + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    rows.write_parquet(tmp, partition_cols=[partition_col])
+    os.makedirs(tmp, exist_ok=True)
+    chaos_kill_once(chaos_stage)
+    with open(os.path.join(tmp, "_STATE_META.json"), "w") as f:
+        f.write(json.dumps(meta))
+    shutil.rmtree(state_dir, ignore_errors=True)
+    os.replace(tmp, state_dir)
+    return state_dir
+
+
 def write_seen_hashes(ds, state_dir: str, *, text_col: str = "text",
                       num_buckets: int = 32) -> str:
     """Persist the corpus's content-hash SET as a hash-bucketed parquet
@@ -1091,11 +1090,8 @@ def write_seen_hashes(ds, state_dir: str, *, text_col: str = "text",
     state an INCREMENTAL dedup probes against.  Hashes only (8 B/doc),
     bucketed by ``h % num_buckets`` so a later probe co-partitions
     against exactly one bucket's files; at 10^12 docs each bucket is an
-    independently readable ~TB-scale shard set."""
-    import os as _os
-
-    import ray.data as rd  # noqa: F401  (ds is already a Dataset)
-
+    independently readable ~TB-scale shard set.  The write is atomic
+    (:func:`_publish_state`)."""
     if num_buckets & (num_buckets - 1):
         raise ValueError("num_buckets must be a power of two (the bucket "
                          "tag is an exact bit mask — float modulo would "
@@ -1107,13 +1103,9 @@ def write_seen_hashes(ds, state_dir: str, *, text_col: str = "text",
         b = pc.bit_wise_and(h, pa.scalar(num_buckets - 1, pa.int64()))
         return pa.table({"h": h, "bucket": b})
 
-    hashed = ds.map_batches(hb, batch_format="pyarrow")
-    hashed.write_parquet(state_dir, partition_cols=["bucket"])
-    _os.makedirs(state_dir, exist_ok=True)
-    with open(_os.path.join(state_dir, "_STATE_META.json"), "w") as f:
-        import json as _json
-        f.write(_json.dumps({"num_buckets": num_buckets}))
-    return state_dir
+    return _publish_state(ds.map_batches(hb, batch_format="pyarrow"),
+                          state_dir, "bucket", {"num_buckets": num_buckets},
+                          "seen_hashes_meta")
 
 
 def incremental_dedup(ds, state_dir: str, *, text_col: str = "text",
@@ -1177,25 +1169,19 @@ def incremental_dedup(ds, state_dir: str, *, text_col: str = "text",
 def write_minhash_state(ds, state_dir: str, *, text_col: str = "text",
                         id_col: str = "doc_id", num_perm: int = 32,
                         bands: int = 8, shingle_k: int = 3, seed: int = 7,
-                        num_buckets: int = 16,
-                        concurrency: int | None = None) -> str:
+                        num_buckets: int = 16) -> str:
     """Persist the corpus's LSH BAND-KEY set — (band, band_hash) pairs,
     16 B/doc/band — partitioned by ``gk = band · num_buckets +
     (band_hash & (num_buckets−1))`` so a later probe co-partitions
     against exactly one directory per group (``gk`` uniquely encodes the
     band, so membership inside a group tests band_hash alone).  The
-    near-dup analog of :func:`write_seen_hashes`."""
-    import json as _json
-    import os as _os
-
+    near-dup analog of :func:`write_seen_hashes`, written atomically the
+    same way."""
     if num_buckets & (num_buckets - 1):
         raise ValueError("num_buckets must be a power of two")
     rows = ds.map_batches(
-        MinHashEmitter, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col,
-                                   num_perm=num_perm, bands=bands,
-                                   shingle_k=shingle_k, seed=seed),
-        concurrency=concurrency or 2)
+        MinHashEmitter(text_col, id_col, num_perm, bands, shingle_k, seed),
+        batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
         gk = pc.add(
@@ -1205,29 +1191,27 @@ def write_minhash_state(ds, state_dir: str, *, text_col: str = "text",
                             pa.scalar(num_buckets - 1, pa.int64())))
         return pa.table({"band_hash": t["band_hash"], "gk": gk})
 
-    rows.map_batches(tag, batch_format="pyarrow").write_parquet(
-        state_dir, partition_cols=["gk"])
-    _os.makedirs(state_dir, exist_ok=True)
-    with open(_os.path.join(state_dir, "_STATE_META.json"), "w") as f:
-        f.write(_json.dumps({"num_buckets": num_buckets,
-                             "num_perm": num_perm, "bands": bands,
-                             "shingle_k": shingle_k, "seed": seed}))
-    return state_dir
+    return _publish_state(
+        rows.map_batches(tag, batch_format="pyarrow"), state_dir, "gk",
+        {"num_buckets": num_buckets, "num_perm": num_perm, "bands": bands,
+         "shingle_k": shingle_k, "seed": seed}, "minhash_state_meta")
 
 
 def incremental_near_dup_filter(ds, state_dir: str, *,
                                 text_col: str = "text",
-                                id_col: str = "doc_id",
-                                concurrency: int | None = None):
+                                id_col: str = "doc_id"):
     """Cross-epoch NEAR-dup filter (the continuous-crawl MinHash shape):
     drop every doc sharing ≥1 LSH band key with a previously persisted
     :func:`write_minhash_state` corpus.  Probe rows are (id, band_hash,
     gk) — never text; each ``map_groups`` task lazily reads only ITS
-    group's state files (one sorted int64 membership searchsorted); the
-    collided-id votes and the id stream meet in one tiny id-keyed
-    groupby-sum (the corpus_filter vote pattern).  Candidate-level
-    semantics (any band collision drops — the production LSH-filter
-    behavior; Jaccard verification is :func:`dedup_clusters`' job).
+    group's state files (one sorted int64 membership searchsorted) and
+    emits (id, hit) votes: every row of a band-0 group — every doc has
+    exactly one band-0 row, short docs being padded to one shingle — and
+    the collided rows of the other bands; one tiny id-keyed groupby-sum
+    then keeps the ids with no hit (the corpus_filter vote pattern), so
+    the upstream runs once.  Candidate-level semantics (any band
+    collision drops — the production LSH-filter behavior; Jaccard
+    verification is :func:`dedup_clusters`' job).
     Returns surviving (doc_id) rows."""
     import json as _json
     import os as _os
@@ -1237,13 +1221,10 @@ def incremental_near_dup_filter(ds, state_dir: str, *,
     nb = int(meta["num_buckets"])
 
     rows = ds.map_batches(
-        MinHashEmitter, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col,
-                                   num_perm=int(meta["num_perm"]),
-                                   bands=int(meta["bands"]),
-                                   shingle_k=int(meta["shingle_k"]),
-                                   seed=int(meta["seed"])),
-        concurrency=concurrency or 2)
+        MinHashEmitter(text_col, id_col, int(meta["num_perm"]),
+                       int(meta["bands"]), int(meta["shingle_k"]),
+                       int(meta["seed"])),
+        batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
         gk = pc.add(
@@ -1272,22 +1253,15 @@ def incremental_near_dup_filter(ds, state_dir: str, *,
                     .to_numpy(zero_copy_only=False))
         h = group["band_hash"].to_numpy(zero_copy_only=False)
         idx = np.minimum(np.searchsorted(seen, h), max(0, seen.size - 1))
-        dup = (seen[idx] == h) if seen.size else np.zeros(h.size, bool)
-        collided = np.unique(
-            group[id_col].to_numpy(zero_copy_only=False)[dup])
-        return pa.table({id_col: pa.array(collided, pa.int64()),
-                         "hit": pa.array(np.ones(collided.size,
-                                                 dtype=np.int64))})
+        dup = pa.array((seen[idx] == h) if seen.size
+                       else np.zeros(h.size, bool))
+        votes = pa.table({id_col: group[id_col],
+                          "hit": pc.cast(dup, pa.int64())})
+        return votes if gk < nb else votes.filter(dup)   # gk < nb: band 0
 
-    hits = rows.map_batches(tag, batch_format="pyarrow") \
-        .groupby("gk").map_groups(probe, batch_format="pyarrow") \
-        .select_columns([id_col, "hit"])
-    ids = ds.map_batches(
-        lambda t: pa.table({id_col: t[id_col],
-                            "hit": pa.array(np.zeros(t.num_rows,
-                                                     dtype=np.int64))}),
-        batch_format="pyarrow")
-    summed = ids.union(hits).groupby(id_col).sum("hit")
+    votes = rows.map_batches(tag, batch_format="pyarrow") \
+        .groupby("gk").map_groups(probe, batch_format="pyarrow")
+    summed = votes.groupby(id_col).sum("hit")
     return summed.map_batches(
         lambda t: pa.table({id_col: t.filter(
             pc.equal(t["sum(hit)"], 0))[id_col]}),

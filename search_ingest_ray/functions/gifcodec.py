@@ -15,7 +15,7 @@ path here is REAL, not a stub:
   method 2 restores the frame rect to the background color, 0/1/3 leave
   the canvas (method 3 "restore to previous" is approximated as leave,
   documented: fixtures never use it).  This makes an ANIMATED GIF a real
-  multi-frame clip container for ``FrameSampleStage``, alongside the
+  multi-frame clip container for ``frame_sample_batch``, alongside the
   concatenated-PNG container.
 - ``encode_gif``: fixture writer with REAL LZW compression (prefix-dict,
   table reset at 4096), optional interlace, multi-frame animations with

@@ -209,7 +209,7 @@ def decode_image(data: bytes) -> np.ndarray:
     if data.startswith(b"RIFF"):
         if data[8:12] == b"AVI ":
             raise ValueError(
-                "AVI is a video container — use FrameSampleStage "
+                "AVI is a video container — use frame_sample_batch "
                 "(avicodec decodes MJPEG frames)")
         raise NotImplementedError("WebP codec not available")
     raise ValueError("unrecognized image format")

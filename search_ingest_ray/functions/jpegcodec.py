@@ -24,8 +24,8 @@ beyond bit twiddling + an 8x8 DCT, so the decode path here is REAL:
   pixel-identically with the baseline path (same quantized
   coefficients, two entropy codings).
 
-At 100-TB scale a real deployment would swap a native libjpeg actor-pool
-stage in; the Ray-side plumbing (``multimodal.ImageFeatureStage``) is
+At 100-TB scale a real deployment would swap a native libjpeg decoder
+in; the Ray-side plumbing (``multimodal.image_feature_batch``) is
 identical either way — only this kernel changes.
 
 Exactness anchor used by the SQL oracle (``q_jpeg_features``): at

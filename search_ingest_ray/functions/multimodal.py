@@ -1,5 +1,5 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` columns with
-typed metadata, processed by actor-pool ``map_batches`` stages.
+typed metadata, processed by task-based ``map_batches`` functions.
 
 Decode kernels are REAL for every format the standard library can carry:
 PNG / PPM / BMP / JPEG / GIF pixels, PCM WAV audio and MJPEG AVI / MP4
@@ -10,9 +10,9 @@ libraries (WebP; H.264/HEVC/VP9 video) raise
 ``NotImplementedError`` inside the codec; the stages surface that as
 ``decoded=False`` rows with content-hash fallback features (``strict=True``
 re-raises instead), so a mixed corpus streams through without faking
-pixels.  Ray-side shape: small batches (binary rows are wide), stateful
-setup once per actor, one output row per media item (or per sampled
-frame).
+pixels.  Ray-side shape: small batches (binary rows are wide), plain
+functions whose only settings are column names and flags (passed as
+``fn_kwargs``), one output row per media item (or per sampled frame).
 """
 
 from __future__ import annotations
@@ -46,101 +46,89 @@ def _fallback_features(data: bytes) -> tuple[int, int, np.ndarray]:
     return width, height, feat
 
 
-class ImageFeatureStage:
-    """Actor-pool stage: decode + feature-extract image binaries.
+def image_feature_batch(batch: pa.Table, *, data_col: str = "data",
+                        id_col: str = "media_id",
+                        strict: bool = False) -> pa.Table:
+    """Decode + feature-extract image binaries.
 
-    Usage: ``ds.map_batches(ImageFeatureStage, batch_size=64,
-    concurrency=(2, 8), num_cpus=1, batch_format="pyarrow")`` — small
-    batches because each row can be MBs of binary; codec state loads once
-    per actor in ``__init__``.  PNG/PPM/BMP rows decode for real
-    (12-dim pixel-statistics feature: RGB means + 8-bin luminance
-    histogram + aspect); JPEG/unknown rows get ``decoded=False`` +
+    Usage: ``ds.map_batches(image_feature_batch, batch_size=64,
+    batch_format="pyarrow", fn_kwargs={"strict": True})`` — small batches
+    because each row can be MBs of binary; the codecs are stateless, so
+    every batch is one Ray task.  PNG/PPM/BMP/JPEG/GIF rows decode for
+    real (12-dim pixel-statistics feature: RGB means + 8-bin luminance
+    histogram + aspect); unknown rows get ``decoded=False`` +
     hash-fallback features, or raise when ``strict=True``."""
-
-    def __init__(self, data_col: str = "data", id_col: str = "media_id",
-                 strict: bool = False):
-        self.data_col = data_col
-        self.id_col = id_col
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, widths, heights, nbytes, shas, dec, feats = \
-            [], [], [], [], [], [], []
-        for mid, data in zip(batch[self.id_col].to_pylist(),
-                             batch[self.data_col].to_pylist()):
-            data = data or b""
-            try:
-                px = decode_image(data)
-                h, w = px.shape[0], px.shape[1]
-                f, ok = image_features(px), True
-            except Exception:
-                if self.strict:
-                    raise
-                w, h, f = _fallback_features(data)
-                ok = False
-            ids.append(str(mid))
-            widths.append(w)
-            heights.append(h)
-            nbytes.append(len(data))
-            shas.append(hashlib.sha1(data).hexdigest())
-            dec.append(ok)
-            feats.append(f)
-        return pa.table({
-            "media_id": pa.array(ids, pa.string()),
-            "width": pa.array(widths, pa.int32()),
-            "height": pa.array(heights, pa.int32()),
-            "n_bytes": pa.array(nbytes, pa.int64()),
-            "sha": pa.array(shas, pa.string()),
-            "decoded": pa.array(dec, pa.bool_()),
-            "feature": pa.array([np.asarray(f, dtype=np.float32)
-                                 for f in feats], pa.list_(pa.float32())),
-        })
+    ids, widths, heights, nbytes, shas, dec, feats = \
+        [], [], [], [], [], [], []
+    for mid, data in zip(batch[id_col].to_pylist(),
+                         batch[data_col].to_pylist()):
+        data = data or b""
+        try:
+            px = decode_image(data)
+            h, w = px.shape[0], px.shape[1]
+            f, ok = image_features(px), True
+        except Exception:
+            if strict:
+                raise
+            w, h, f = _fallback_features(data)
+            ok = False
+        ids.append(str(mid))
+        widths.append(w)
+        heights.append(h)
+        nbytes.append(len(data))
+        shas.append(hashlib.sha1(data).hexdigest())
+        dec.append(ok)
+        feats.append(f)
+    return pa.table({
+        "media_id": pa.array(ids, pa.string()),
+        "width": pa.array(widths, pa.int32()),
+        "height": pa.array(heights, pa.int32()),
+        "n_bytes": pa.array(nbytes, pa.int64()),
+        "sha": pa.array(shas, pa.string()),
+        "decoded": pa.array(dec, pa.bool_()),
+        "feature": pa.array([np.asarray(f, dtype=np.float32)
+                             for f in feats], pa.list_(pa.float32())),
+    })
 
 
-class AudioFeatureStage:
-    """Actor-pool stage: REAL PCM-WAV feature extraction (stdlib codec):
-    sample rate, duration, RMS and zero-crossing rate in exact integer
-    micro-units.  Non-WAV rows → ``decoded=False`` zero features (or
-    raise when ``strict=True``)."""
-
-    def __init__(self, data_col: str = "data", id_col: str = "media_id",
-                 strict: bool = False):
-        self.data_col = data_col
-        self.id_col = id_col
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cols: dict[str, list] = {k: [] for k in (
-            "media_id", "n_bytes", "decoded", "sample_rate", "n_samples",
-            "duration_us", "rms_micro", "zcr_micro")}
-        for mid, data in zip(batch[self.id_col].to_pylist(),
-                             batch[self.data_col].to_pylist()):
-            data = data or b""
-            try:
-                f = audio_features(data)
-                ok = True
-            except Exception:
-                if self.strict:
-                    raise
-                f = dict(sample_rate=0, n_samples=0, duration_us=0,
-                         rms_micro=0, zcr_micro=0)
-                ok = False
-            cols["media_id"].append(str(mid))
-            cols["n_bytes"].append(len(data))
-            cols["decoded"].append(ok)
-            for k in ("sample_rate", "n_samples", "duration_us",
-                      "rms_micro", "zcr_micro"):
-                cols[k].append(int(f[k]))
-        return pa.table({
-            "media_id": pa.array(cols["media_id"], pa.string()),
-            "n_bytes": pa.array(cols["n_bytes"], pa.int64()),
-            "decoded": pa.array(cols["decoded"], pa.bool_()),
-            "sample_rate": pa.array(cols["sample_rate"], pa.int64()),
-            "n_samples": pa.array(cols["n_samples"], pa.int64()),
-            "duration_us": pa.array(cols["duration_us"], pa.int64()),
-            "rms_micro": pa.array(cols["rms_micro"], pa.int64()),
-            "zcr_micro": pa.array(cols["zcr_micro"], pa.int64()),
-        })
+def audio_feature_batch(batch: pa.Table, *, data_col: str = "data",
+                        id_col: str = "media_id",
+                        strict: bool = False) -> pa.Table:
+    """REAL PCM-WAV feature extraction (stdlib codec): sample rate,
+    duration, RMS and zero-crossing rate in exact integer micro-units.
+    Non-WAV rows → ``decoded=False`` zero features (or raise when
+    ``strict=True``)."""
+    cols: dict[str, list] = {k: [] for k in (
+        "media_id", "n_bytes", "decoded", "sample_rate", "n_samples",
+        "duration_us", "rms_micro", "zcr_micro")}
+    for mid, data in zip(batch[id_col].to_pylist(),
+                         batch[data_col].to_pylist()):
+        data = data or b""
+        try:
+            f = audio_features(data)
+            ok = True
+        except Exception:
+            if strict:
+                raise
+            f = dict(sample_rate=0, n_samples=0, duration_us=0,
+                     rms_micro=0, zcr_micro=0)
+            ok = False
+        cols["media_id"].append(str(mid))
+        cols["n_bytes"].append(len(data))
+        cols["decoded"].append(ok)
+        for k in ("sample_rate", "n_samples", "duration_us",
+                  "rms_micro", "zcr_micro"):
+            cols[k].append(int(f[k]))
+    return pa.table({
+        "media_id": pa.array(cols["media_id"], pa.string()),
+        "n_bytes": pa.array(cols["n_bytes"], pa.int64()),
+        "decoded": pa.array(cols["decoded"], pa.bool_()),
+        "sample_rate": pa.array(cols["sample_rate"], pa.int64()),
+        "n_samples": pa.array(cols["n_samples"], pa.int64()),
+        "duration_us": pa.array(cols["duration_us"], pa.int64()),
+        "rms_micro": pa.array(cols["rms_micro"], pa.int64()),
+        "zcr_micro": pa.array(cols["zcr_micro"], pa.int64()),
+    })
 
 
 def _split_png_stream(data: bytes) -> list[bytes]:
@@ -164,9 +152,11 @@ def _split_png_stream(data: bytes) -> list[bytes]:
     return frames or [data]
 
 
-class FrameSampleStage:
-    """Actor-pool stage: sample N frames per video binary (one output row
-    per sampled frame — a flat_map-shaped explosion).
+def frame_sample_batch(batch: pa.Table, *, data_col: str = "data",
+                       id_col: str = "media_id", frames: int = 4,
+                       strict: bool = False) -> pa.Table:
+    """Sample N frames per video binary (one output row per sampled frame
+    — a flat_map-shaped explosion).
 
     MJPEG AVI (real RIFF container walk + numpy JPEG decode of each
     frame, :mod:`.avicodec`), MJPEG MP4 (ISO BMFF box walk + sample-table
@@ -177,76 +167,67 @@ class FrameSampleStage:
     Codecs that need real libraries (H.264/HEVC in MP4, VP8/VP9 in WebM)
     are absent here: those rows emit ``decoded=False`` content-hash frame
     features (or raise when ``strict=True``)."""
-
-    def __init__(self, data_col: str = "data", id_col: str = "media_id",
-                 frames: int = 4, strict: bool = False):
-        self.data_col = data_col
-        self.id_col = id_col
-        self.frames = frames
-        self.strict = strict
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .avicodec import is_avi
-        from .mp4codec import is_mp4
-        mid_out, frame_out, dec_out, feat_out = [], [], [], []
-        for mid, data in zip(batch[self.id_col].to_pylist(),
-                             batch[self.data_col].to_pylist()):
-            data = data or b""
-            if data.startswith((_PNG_MAGIC, b"GIF87a", b"GIF89a")) \
-                    or is_avi(data) or is_mp4(data):
-                # A corrupt/truncated payload behind a valid magic must
-                # degrade to decoded=False rows when strict=False (same
-                # contract as ImageFeatureStage/AudioFeatureStage), not
-                # crash the batch.
-                try:
-                    if data.startswith(_PNG_MAGIC):
-                        clip = _split_png_stream(data)
-                        dec = decode_png
-                    elif is_avi(data):
-                        from .avicodec import decode_avi_frames
-                        clip = decode_avi_frames(data)
-                        dec = lambda px: px  # noqa: E731 — already pixels
-                    elif is_mp4(data):
-                        # raises on non-MJPEG tracks (H.264/HEVC) —
-                        # strict surfaces it, non-strict falls back
-                        from .mp4codec import decode_mp4_frames
-                        clip = decode_mp4_frames(data)
-                        dec = lambda px: px  # noqa: E731 — already pixels
-                    else:
-                        from .gifcodec import decode_gif_frames
-                        clip = decode_gif_frames(data)
-                        dec = lambda px: px  # noqa: E731 — already pixels
-                    picks = np.unique(
-                        np.linspace(0, len(clip) - 1, self.frames)
-                        .astype(np.int64))
-                    rows = [(int(fr), image_features(dec(clip[int(fr)])))
-                            for fr in picks]
-                except Exception:
-                    if self.strict:
-                        raise
-                    rows = None
-                if rows is not None:
-                    for fr, feat in rows:
-                        mid_out.append(str(mid))
-                        frame_out.append(fr)
-                        dec_out.append(True)
-                        feat_out.append(feat)
-                    continue
-            elif self.strict:
-                raise NotImplementedError(
-                    "video containers beyond MJPEG AVI/MP4, animated GIF "
-                    "and concatenated-PNG need real codec libraries")
-            for fr in range(self.frames):
-                h = hashlib.blake2b(data + fr.to_bytes(4, "big"),
-                                    digest_size=8).digest()
-                mid_out.append(str(mid))
-                frame_out.append(fr)
-                dec_out.append(False)
-                feat_out.append(
-                    np.frombuffer(h, dtype=np.uint8).astype(np.float32))
-        return pa.table({
-            "media_id": pa.array(mid_out, pa.string()),
-            "frame": pa.array(frame_out, pa.int32()),
-            "decoded": pa.array(dec_out, pa.bool_()),
-            "feature": pa.array(feat_out, pa.list_(pa.float32())),
-        })
+    from .avicodec import is_avi
+    from .mp4codec import is_mp4
+    mid_out, frame_out, dec_out, feat_out = [], [], [], []
+    for mid, data in zip(batch[id_col].to_pylist(),
+                         batch[data_col].to_pylist()):
+        data = data or b""
+        if data.startswith((_PNG_MAGIC, b"GIF87a", b"GIF89a")) \
+                or is_avi(data) or is_mp4(data):
+            # A corrupt/truncated payload behind a valid magic must
+            # degrade to decoded=False rows when strict=False (same
+            # contract as image_feature_batch/audio_feature_batch), not
+            # crash the batch.
+            try:
+                if data.startswith(_PNG_MAGIC):
+                    clip = _split_png_stream(data)
+                    dec = decode_png
+                elif is_avi(data):
+                    from .avicodec import decode_avi_frames
+                    clip = decode_avi_frames(data)
+                    dec = lambda px: px  # noqa: E731 — already pixels
+                elif is_mp4(data):
+                    # raises on non-MJPEG tracks (H.264/HEVC) —
+                    # strict surfaces it, non-strict falls back
+                    from .mp4codec import decode_mp4_frames
+                    clip = decode_mp4_frames(data)
+                    dec = lambda px: px  # noqa: E731 — already pixels
+                else:
+                    from .gifcodec import decode_gif_frames
+                    clip = decode_gif_frames(data)
+                    dec = lambda px: px  # noqa: E731 — already pixels
+                picks = np.unique(
+                    np.linspace(0, len(clip) - 1, frames)
+                    .astype(np.int64))
+                rows = [(int(fr), image_features(dec(clip[int(fr)])))
+                        for fr in picks]
+            except Exception:
+                if strict:
+                    raise
+                rows = None
+            if rows is not None:
+                for fr, feat in rows:
+                    mid_out.append(str(mid))
+                    frame_out.append(fr)
+                    dec_out.append(True)
+                    feat_out.append(feat)
+                continue
+        elif strict:
+            raise NotImplementedError(
+                "video containers beyond MJPEG AVI/MP4, animated GIF "
+                "and concatenated-PNG need real codec libraries")
+        for fr in range(frames):
+            h = hashlib.blake2b(data + fr.to_bytes(4, "big"),
+                                digest_size=8).digest()
+            mid_out.append(str(mid))
+            frame_out.append(fr)
+            dec_out.append(False)
+            feat_out.append(
+                np.frombuffer(h, dtype=np.uint8).astype(np.float32))
+    return pa.table({
+        "media_id": pa.array(mid_out, pa.string()),
+        "frame": pa.array(frame_out, pa.int32()),
+        "decoded": pa.array(dec_out, pa.bool_()),
+        "feature": pa.array(feat_out, pa.list_(pa.float32())),
+    })

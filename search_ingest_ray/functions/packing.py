@@ -141,26 +141,19 @@ def chunk_plan_batch(batch: pa.Table, *, max_tokens: int, stride: int,
     layout used to cut long documents into model-context windows;
     ``stride == max_tokens`` degenerates to disjoint chunks).  Zero-token
     docs emit no chunks.  Fully vectorized repeat/arange expansion — the
-    plan is metadata-only (doc_id, chunk_idx, start_tok, n_toks); the
-    text/token slicing itself is a map-side gather at training-data
-    export time, so no shuffle is ever needed."""
-    did = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    plan is metadata-only (``key_col`` with its input type, chunk_idx,
+    start_tok, n_toks); the text/token slicing itself is a map-side
+    gather at training-data export time, so no shuffle is ever needed."""
     n = batch[len_col].to_numpy(zero_copy_only=False).astype(np.int64)
     cnt = np.where(n > 0, (n + stride - 1) // stride, 0)
-    tot = int(cnt.sum())
-    if tot == 0:
-        empty = pa.array([], pa.int64())
-        return pa.table({"doc_id": empty, "chunk_idx": empty,
-                         "start_tok": empty, "n_toks": empty})
-    seg = np.concatenate([[0], np.cumsum(cnt)])[:-1]
-    idx = np.arange(tot, dtype=np.int64) - np.repeat(seg, cnt)
+    doc = np.repeat(np.arange(n.size), cnt)
+    idx = np.arange(doc.size, dtype=np.int64) - (np.cumsum(cnt) - cnt)[doc]
     start = idx * stride
-    n_rep = np.repeat(n, cnt)
     return pa.table({
-        "doc_id": pa.array(np.repeat(did, cnt), pa.int64()),
+        key_col: batch[key_col].take(pa.array(doc, pa.int64())),
         "chunk_idx": pa.array(idx, pa.int64()),
         "start_tok": pa.array(start, pa.int64()),
-        "n_toks": pa.array(np.minimum(max_tokens, n_rep - start),
+        "n_toks": pa.array(np.minimum(max_tokens, n[doc] - start),
                            pa.int64()),
     })
 

@@ -282,6 +282,28 @@ def weighted_partial_batch(batch: pa.Table, *, group_col: str,
 
 # -- out-of-vocabulary rate ----------------------------------------------------
 
+def _vocab(ds, text_col: str, vocab_k: int) -> list[dict]:
+    """The corpus's top-``vocab_k`` words by count (ties → word
+    ascending): one per-batch partial word count, a groupby-sum over
+    DISTINCT words only, then sort+limit."""
+    from .bpe import word_counts
+    return (word_counts(ds, text_col=text_col)
+            .sort(["c", "word"], descending=[True, False])
+            .limit(vocab_k).take_all())
+
+
+def _oov_batch(batch: pa.Table, *, vocab: pa.Array, text_col: str,
+               id_col: str) -> pa.Table:
+    toks, nt = tokenize_simple_batch(batch[text_col])
+    oov = ~_np(pc.is_in(toks, value_set=vocab))
+    no = _doc_sums(oov, nt)
+    ppm = np.where(nt > 0, no * 1_000_000 // np.maximum(nt, 1), 0)
+    return pa.table({id_col: batch[id_col],
+                     "n_tokens": pa.array(nt),
+                     "n_oov": pa.array(no),
+                     "oov_ppm": pa.array(ppm.astype(np.int64))})
+
+
 def oov_rate(ds, *, text_col: str = "text", id_col: str = "doc_id",
              vocab_k: int = 10_000):
     """Rare-word-ratio quality signal (CCNet-style vocabulary coverage):
@@ -289,40 +311,30 @@ def oov_rate(ds, *, text_col: str = "text", id_col: str = "doc_id",
     vocabulary by collection frequency (ties → term ascending), in exact
     integer ppm — ``n_oov · 1e6 // n_tokens``.
 
-    Scale shape: one word-count pass (per-batch partial combine → small
-    groupby-sum → sort+limit over DISTINCT words only), then the K-term
-    vocabulary is broadcast via ``ray.put`` ONCE and every scoring batch
-    reads it from the local object store — no shuffle of the corpus
-    itself, same pattern as decontaminate's eval-set probe.  Exactly
-    SQL-oracled (integer arithmetic end to end)."""
-    import ray
-
-    from .bpe import word_counts
-
-    top = (word_counts(ds, text_col=text_col)
-           .sort(["c", "word"], descending=[True, False])
-           .limit(vocab_k).take_all())
-    vocab_ref = ray.put(pa.array([r["word"] for r in top], pa.string()))
-
-    class _Score:
-        def __init__(self):
-            self.vocab = ray.get(vocab_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            toks, nt = tokenize_simple_batch(batch[text_col])
-            oov = ~_np(pc.is_in(toks, value_set=self.vocab))
-            no = _doc_sums(oov, nt)
-            ppm = np.where(nt > 0, no * 1_000_000 // np.maximum(nt, 1), 0)
-            return pa.table({id_col: batch[id_col],
-                             "n_tokens": pa.array(nt),
-                             "n_oov": pa.array(no),
-                             "oov_ppm": pa.array(ppm.astype(np.int64))})
-
-    return ds.map_batches(_Score, batch_format="pyarrow", batch_size=512,
-                          concurrency=2)
+    Scale shape: one word-count pass (:func:`_vocab`), then a task-based
+    map stage that carries the K-term vocabulary as an Arrow array in its
+    ``fn_kwargs`` — no shuffle of the corpus itself, same pattern as
+    decontaminate's eval-set probe.  Exactly SQL-oracled (integer
+    arithmetic end to end)."""
+    vocab = pa.array([r["word"] for r in _vocab(ds, text_col, vocab_k)],
+                     pa.string())
+    return ds.map_batches(_oov_batch, batch_format="pyarrow", batch_size=512,
+                          fn_kwargs=dict(vocab=vocab, text_col=text_col,
+                                         id_col=id_col))
 
 
 # -- unigram-LM perplexity (CCNet-style quality filter) -------------------------
+
+def _ppl_batch(batch: pa.Table, *, words: pa.Array, surp: np.ndarray,
+               text_col: str, id_col: str) -> pa.Table:
+    toks, nt = tokenize_simple_batch(batch[text_col])
+    code = _np(pc.fill_null(pc.index_in(toks, value_set=words), -1))
+    ssum = _doc_sums(surp[code], nt)
+    ce = np.where(nt > 0, ssum // np.maximum(nt, 1), 0)
+    return pa.table({id_col: batch[id_col],
+                     "n_tokens": pa.array(nt),
+                     "ce_micro": pa.array(ce.astype(np.int64))})
+
 
 def unigram_ppl(ds, *, text_col: str = "text", id_col: str = "doc_id",
                 vocab_k: int = 10_000):
@@ -341,42 +353,20 @@ def unigram_ppl(ds, *, text_col: str = "text", id_col: str = "doc_id",
     (a float sum over thousands of tokens would not); ``ce_micro`` is the
     integer mean ``Σ surprisal_micro // n_tokens`` (ppl = exp(ce)).
 
-    Scale shape: identical to :func:`oov_rate` — one word-count pass
-    (per-batch partial combine, groupby-sum over DISTINCT words only,
-    sort+limit to K), then the (term → surprisal_micro) table broadcasts
-    via ``ray.put`` once and scoring is a pure map stage with ZERO
-    corpus shuffle."""
-    import ray
-
-    from .bpe import word_counts
-
-    top = (word_counts(ds, text_col=text_col)
-           .sort(["c", "word"], descending=[True, False])
-           .limit(vocab_k).take_all())
+    Scale shape: identical to :func:`oov_rate` — one word-count pass,
+    then the (term → surprisal_micro) arrays ride the scoring task's
+    ``fn_kwargs``: a pure map stage with ZERO corpus shuffle."""
+    top = _vocab(ds, text_col, vocab_k)
     words = pa.array([r["word"] for r in top], pa.string())
     c = np.array([r["c"] for r in top], dtype=np.int64)
     ln_norm = np.log(float(c.sum() + len(words) + 1))
     surp = np.floor((ln_norm - np.log(c + 1.0)) * 1e6).astype(np.int64)
     s_oov = int(np.floor(ln_norm * 1e6))  # ln(0 + 1) = 0
     # an OOV token's lookup code -1 reads the last entry, s_oov
-    model_ref = ray.put((words, np.append(surp, s_oov)))
-
-    class _Score:
-        def __init__(self):
-            self.words, self.surp = ray.get(model_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            toks, nt = tokenize_simple_batch(batch[text_col])
-            code = _np(pc.fill_null(
-                pc.index_in(toks, value_set=self.words), -1))
-            ssum = _doc_sums(self.surp[code], nt)
-            ce = np.where(nt > 0, ssum // np.maximum(nt, 1), 0)
-            return pa.table({id_col: batch[id_col],
-                             "n_tokens": pa.array(nt),
-                             "ce_micro": pa.array(ce.astype(np.int64))})
-
-    return ds.map_batches(_Score, batch_format="pyarrow", batch_size=512,
-                          concurrency=2)
+    return ds.map_batches(_ppl_batch, batch_format="pyarrow", batch_size=512,
+                          fn_kwargs=dict(words=words,
+                                         surp=np.append(surp, s_oov),
+                                         text_col=text_col, id_col=id_col))
 
 
 # -- hashed linear quality classifier (fastText-style filter) ------------------
@@ -385,8 +375,19 @@ CLS_DIM = 4096          # hashed bag-of-words feature buckets
 CLS_MIX = 2654435761    # Knuth multiplicative constant for the weight table
 
 
+def _linear_batch(batch: pa.Table, *, weights: np.ndarray, text_col: str,
+                  id_col: str) -> pa.Table:
+    toks, nt = tokenize_simple_batch(batch[text_col])
+    bucket = _token_hashes(toks) % np.uint64(CLS_DIM)
+    ssum = _doc_sums(weights[bucket], nt)
+    return pa.table({id_col: batch[id_col],
+                     "n_tokens": pa.array(nt),
+                     "score_milli": pa.array(ssum),
+                     "keep": pa.array(ssum > 0)})
+
+
 def hashed_linear_score(ds, *, text_col: str = "text",
-                        id_col: str = "doc_id", concurrency: int = 2):
+                        id_col: str = "doc_id"):
     """fastText-style hashed bag-of-words linear classifier scoring — the
     quality-filter shape of GPT-3/LLaMA-class data pipelines (train a
     small linear model on curated-vs-crawl text, score every crawl doc,
@@ -400,34 +401,19 @@ def hashed_linear_score(ds, *, text_col: str = "text",
     The weight table here is a deterministic function of the bucket index
     (no image/text models ship in this container), which keeps the DuckDB
     oracle pure-SQL and bit-exact; a TRAINED weight vector would flow
-    through the identical plumbing — built once on the driver, broadcast
-    via ``ray.put``, fetched in each actor's ``__init__``.
+    through the identical plumbing — a numpy array built once on the
+    driver and carried in the scoring task's ``fn_kwargs``.
 
-    Scale shape: broadcast model + pure map stage, ZERO corpus shuffle at
-    any size; each batch hashes its DISTINCT tokens in one vectorized
-    DuckDB md5 call, and scoring is a weight lookup + per-doc sums.  Emits
-    one row per input doc (token-less docs score 0 / keep=False)."""
-    import ray
-
+    Scale shape: model + pure map stage, ZERO corpus shuffle at any size;
+    each batch hashes its DISTINCT tokens in one vectorized md5 call, and
+    scoring is a weight lookup + per-doc sums.  Emits one row per input
+    doc (token-less docs score 0 / keep=False)."""
     weights = ((np.arange(CLS_DIM, dtype=np.int64) * CLS_MIX) % 2001
                - 1000).astype(np.int64)
-    model_ref = ray.put(weights)
-
-    class _Score:
-        def __init__(self):
-            self.w = ray.get(model_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            toks, nt = tokenize_simple_batch(batch[text_col])
-            bucket = _token_hashes(toks) % np.uint64(CLS_DIM)
-            ssum = _doc_sums(self.w[bucket], nt)
-            return pa.table({id_col: batch[id_col],
-                             "n_tokens": pa.array(nt),
-                             "score_milli": pa.array(ssum),
-                             "keep": pa.array(ssum > 0)})
-
-    return ds.map_batches(_Score, batch_format="pyarrow", batch_size=512,
-                          concurrency=concurrency)
+    return ds.map_batches(_linear_batch, batch_format="pyarrow",
+                          batch_size=512,
+                          fn_kwargs=dict(weights=weights, text_col=text_col,
+                                         id_col=id_col))
 
 
 # -- percolation (reverse search) ----------------------------------------------
@@ -439,9 +425,11 @@ class PercolateStage:
     ``(query_id, terms, min_match)``: a doc matches when at least
     ``min_match`` of the query's distinct terms occur in it.
 
-    Scale shape: the query set is small and broadcast (actor ``__init__``
-    state, like DecontamScorer's eval hashes) — matching is a pure map
-    stage, ZERO shuffle at any corpus size.  Per batch, one ``index_in``
+    Scale shape: the query set is small; its vocabulary and membership
+    matrix are built once on the driver and travel with this callable
+    instance, which Ray Data runs as a task (like DecontamScorer's eval
+    hashes) — matching is a pure map stage, ZERO shuffle at any corpus
+    size.  Per batch, one ``index_in``
     maps tokens to the union vocabulary of all query terms, and the
     distinct (doc, term) hits times a (term × query) membership matrix
     give every doc's matched-term count per query — O(tokens + hits ·
@@ -481,14 +469,11 @@ class PercolateStage:
 
 
 def percolate(ds, queries: list[tuple], *, text_col: str = "text",
-              id_col: str = "doc_id", concurrency: int = 2):
+              id_col: str = "doc_id"):
     """Match every doc against the registered query set — one row per
-    (doc, query) hit with the matched-term count.  Pure broadcast map."""
-    return ds.map_batches(PercolateStage, batch_format="pyarrow",
-                          batch_size=512, concurrency=concurrency,
-                          fn_constructor_kwargs={"queries": queries,
-                                                 "text_col": text_col,
-                                                 "id_col": id_col})
+    (doc, query) hit with the matched-term count.  Pure map task."""
+    return ds.map_batches(PercolateStage(queries, text_col, id_col),
+                          batch_format="pyarrow", batch_size=512)
 
 
 def compression_ratio_batch(batch: pa.Table, *, text_col: str = "text",
@@ -520,9 +505,10 @@ def compression_ratio_batch(batch: pa.Table, *, text_col: str = "text",
 class KeywordExtractor:
     """Per-doc top-k TF-IDF keyword extraction with a BROADCAST global-df
     side table — the canonical broadcast-join shape: the (term → df) map
-    is `ray.put` once and read in each actor's ``__init__`` (never
-    re-shipped per batch); documents stream through embarrassingly
-    parallel.  Vocabulary is Heaps-sublinear in corpus size, and a 100-TB
+    becomes an Arrow term array plus a numpy df array once, on the
+    driver; the callable instance runs as a Ray Data task, so Ray ships
+    it to the object store once per operator and documents stream
+    through embarrassingly parallel.  Vocabulary is Heaps-sublinear in corpus size, and a 100-TB
     deployment would cap the broadcast at the top-M terms by df (rare
     terms are always keywords; treat df_min as 1) — the synthetic vocab
     fits whole.
@@ -532,10 +518,8 @@ class KeywordExtractor:
     — so the DuckDB oracle is bit-identical.  Emits
     (doc_id, rank, term, score_micro), rank 1..top by (−score, term)."""
 
-    def __init__(self, df_ref, n_docs: int, top: int = 3,
+    def __init__(self, df: dict, n_docs: int, top: int = 3,
                  text_col: str = "text", id_col: str = "doc_id"):
-        import ray
-        df = ray.get(df_ref) if not isinstance(df_ref, dict) else df_ref
         self.df_terms = pa.array(list(df), pa.string())
         # an unknown term's lookup code -1 reads the last entry, df 1
         self.df = np.append(np.fromiter(df.values(), np.int64, len(df)), 1)

@@ -18,8 +18,8 @@ provides the vectorized kernels a 100-TB crawl pipeline needs:
   (hash-partitioned fold, one vectorized sort per partition — reuses
   ``stages.fold.partitioned_fold``, so it scales exactly like the upsert
   sink);
-- :func:`host_blocklist_filter` — broadcast-set host filter (``ray.put``
-  once, ``pc.is_in`` per batch; no shuffle).
+- :func:`host_blocklist_filter` — broadcast-set host filter (the blocklist
+  rides the task's ``fn_kwargs``, ``pc.is_in`` per batch; no shuffle).
 
 Scale notes: every kernel is a fixed sequence of RE2 passes over a string
 column — no per-row Python anywhere.  Dedup is the only shuffle and it
@@ -159,27 +159,22 @@ def canonical_url_dedup(ds, *, url_col: str = "url",
                             num_partitions=num_partitions)
 
 
+def _blocklist_batch(batch: pa.Table, *, blocked: pa.Array, url_col: str,
+                     keep_blocked: bool) -> pa.Table:
+    mask = pc.is_in(host_of(batch[url_col]), value_set=blocked)
+    return batch.filter(mask if keep_blocked else pc.invert(mask))
+
+
 def host_blocklist_filter(ds, blocked_hosts, *, url_col: str = "url",
                           keep_blocked: bool = False):
     """Drop (or keep) rows whose URL host is in a blocklist.
 
-    The blocklist is broadcast once (``ray.put``) and fetched per actor —
-    never re-shipped per batch; the probe is one ``pc.is_in`` against a
-    host column derived by :func:`host_of`.  No shuffle.
+    The blocklist is one Arrow array in the filter task's ``fn_kwargs``:
+    Ray Data puts it in the object store once per operator, never once
+    per batch; the probe is one ``pc.is_in`` against a host column
+    derived by :func:`host_of`.  No shuffle.
     """
-    import ray
-
-    blocked_ref = ray.put(pa.array(sorted(set(blocked_hosts)), pa.string()))
-
-    class _Filter:
-        def __init__(self):
-            self.blocked = ray.get(blocked_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = pc.is_in(host_of(batch[url_col]),
-                            value_set=self.blocked)
-            if not keep_blocked:
-                mask = pc.invert(mask)
-            return batch.filter(mask)
-
-    return ds.map_batches(_Filter, batch_format="pyarrow", concurrency=(1, 8))
+    blocked = pa.array(sorted(set(blocked_hosts)), pa.string())
+    return ds.map_batches(_blocklist_batch, batch_format="pyarrow",
+                          fn_kwargs=dict(blocked=blocked, url_col=url_col,
+                                         keep_blocked=keep_blocked))

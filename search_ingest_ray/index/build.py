@@ -877,7 +877,7 @@ def build_index(input_paths, index_root: str, *,
                 field_shards: int = 16,
                 k1: float = K1_DEFAULT, b: float = B_DEFAULT,
                 epoch: int = 0, resume: bool = True,
-                batch_size: int = 1024, concurrency: int | None = None,
+                batch_size: int = 1024,
                 with_positions: bool = False,
                 store_fields: list[str] | None = None,
                 table_config=None,

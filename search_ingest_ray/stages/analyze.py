@@ -1,10 +1,11 @@
 """Analysis stages: text extraction (E1) and posting emission (E2+E4).
 
 Both are ``map_batches`` stages over zero-copy Arrow batches.  The analyzer
-stage is a callable CLASS (actor pool): the compiled tokenizer/regex state is
-built once per actor in ``__init__`` and reused per batch — the Ray analog of
-the reference sharing one immutable ``Schemas`` instance and a client pool
-across all work (/root/reference/src/search-ingest/elastic.cr:62-93).
+stage is a callable CLASS whose compiled tokenizer/regex state is built once
+and reused per batch — passed to ``map_batches`` as an instance (Ray Data runs
+it as a task) or kept per worker process (``index.build._EMITTERS``) — the Ray
+analog of the reference sharing one immutable ``Schemas`` instance across all
+work (reference ``src/search-ingest/elastic.cr:62-93``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Round-4 ADVICE regression tests: null/missing-docvalue alignment in
 terms_set and distance_feature, composite-agg null keys, and the
-FrameSampleStage non-strict corrupt-payload contract.
+frame_sample_batch non-strict corrupt-payload contract.
 
 Each test reproduces the exact failure the round-3 advisor demonstrated
 (ValueError / lexsort shape mismatch / TypeError / unguarded raise) and
@@ -116,7 +116,7 @@ def test_frame_sample_corrupt_png_falls_back_when_not_strict(ray_session):
     import ray
 
     from search_ingest_ray.functions.imagecodec import encode_png
-    from search_ingest_ray.functions.multimodal import FrameSampleStage
+    from search_ingest_ray.functions.multimodal import frame_sample_batch
 
     good = encode_png(np.full((4, 4, 3), 7, dtype=np.uint8))
     corrupt = good[:20] + b"\x00garbage-not-a-chunk-stream"
@@ -126,9 +126,8 @@ def test_frame_sample_corrupt_png_falls_back_when_not_strict(ray_session):
         "media_id": ["ok", "bad"],
         "data": pa.array([good, corrupt], pa.binary()),
     }))
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         fn_constructor_kwargs={"frames": 2},
-                         concurrency=1).to_arrow_refs()
+    out = ds.map_batches(frame_sample_batch, batch_format="pyarrow",
+                         fn_kwargs={"frames": 2}).to_arrow_refs()
     tbl = pa.concat_tables([ray.get(r) for r in out])
     by_id = {}
     for mid, dec in zip(tbl["media_id"].to_pylist(),
@@ -148,12 +147,11 @@ def test_frame_sample_corrupt_png_falls_back_when_not_strict(ray_session):
 
 def test_frame_sample_corrupt_png_raises_when_strict():
     from search_ingest_ray.functions.imagecodec import encode_png
-    from search_ingest_ray.functions.multimodal import FrameSampleStage
+    from search_ingest_ray.functions.multimodal import frame_sample_batch
 
     good = encode_png(np.full((4, 4, 3), 7, dtype=np.uint8))
     corrupt = good[:20] + b"\x00garbage-not-a-chunk-stream"
-    stage = FrameSampleStage(strict=True, frames=2)
     batch = pa.table({"media_id": ["bad"],
                       "data": pa.array([corrupt], pa.binary())})
     with pytest.raises(Exception):
-        stage(batch)
+        frame_sample_batch(batch, strict=True, frames=2)

@@ -101,8 +101,7 @@ def test_encode_stage_matches_sequential_apply(ray_session):
     ds = rd.from_arrow(tbl)
     merges = train_bpe(ds, n_merges=15)
     out = {r["doc_id"]: r["n_bpe"] for r in ds.map_batches(
-        BPEEncodeStage, batch_format="pyarrow", concurrency=2,
-        fn_constructor_kwargs={"merges": merges}).take_all()}
+        BPEEncodeStage(merges), batch_format="pyarrow").take_all()}
     # reference: replay merges in training order over each word
     from search_ingest_ray.analyzer import tokenize_simple
     for did, txt in zip(tbl["doc_id"].to_pylist(),

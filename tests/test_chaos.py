@@ -172,6 +172,45 @@ ray.shutdown()
 """
 
 
+_STATE_SCRIPT = r"""
+import json, os, sys
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False)
+import ray.data as rd
+from search_ingest_ray.functions.dedup import (write_minhash_state,
+                                               write_seen_hashes)
+
+work = sys.argv[1]
+docs = pa.table({
+    "doc_id": pa.array(range(40), pa.int64()),
+    "text": [f"page {i} about merge scan window {i % 7}" for i in range(40)]})
+writers = {
+    "seen": lambda d: write_seen_hashes(rd.from_arrow(docs), d,
+                                        num_buckets=4),
+    "minhash": lambda d: write_minhash_state(rd.from_arrow(docs), d,
+                                             num_perm=16, bands=4,
+                                             num_buckets=4),
+}
+# the callers' contract: a state without its meta file is not there yet
+for name, write in writers.items():
+    d = os.path.join(work, name)
+    if not os.path.exists(os.path.join(d, "_STATE_META.json")):
+        write(d)
+rows = {name: sum(pq.read_metadata(os.path.join(r, f)).num_rows
+                  for r, _, fs in os.walk(os.path.join(work, name))
+                  for f in fs if f.endswith(".parquet"))
+        for name in writers}
+chaos_dir = os.environ.get("SI_CHAOS_DIR")
+print("RESULT " + json.dumps({
+    "rows": rows,
+    "killed": sorted(os.listdir(chaos_dir)) if chaos_dir else [],
+}))
+ray.shutdown()
+"""
+
+
 def _run(corpus_dir: str, root: str, chaos_dir: str | None,
          script: str = _SCRIPT) -> dict:
     env = dict(os.environ)
@@ -204,8 +243,9 @@ def test_worker_death_mid_build_yields_identical_index(corpus_dir, tmp_path):
 
 
 def _run_until_done(work: str, chaos_dir: str | None,
-                    max_attempts: int = 12) -> dict:
-    """Re-run _EPOCH_SCRIPT until it completes — each crash-rerun must make
+                    max_attempts: int = 12,
+                    script: str = _EPOCH_SCRIPT) -> dict:
+    """Re-run ``script`` until it completes — each crash-rerun must make
     progress (a new kill flag) or the failure is a real bug."""
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)
@@ -216,7 +256,7 @@ def _run_until_done(work: str, chaos_dir: str | None,
     flags_seen = -1
     for _ in range(max_attempts):
         out = subprocess.run(
-            [sys.executable, "-c", _EPOCH_SCRIPT, work],
+            [sys.executable, "-c", script, work],
             capture_output=True, text=True, cwd=REPO, env=env, timeout=600)
         if out.returncode == 0:
             line = [ln for ln in out.stdout.splitlines()
@@ -276,3 +316,18 @@ def test_merger_actor_death_yields_identical_merged_index(corpus_dir,
     assert "killed_merge" in chaos["killed"]
     assert chaos["stats"] == clean["stats"]
     assert chaos["results"] == clean["results"]
+
+
+def test_dedup_state_writers_crash_before_meta_keep_one_copy(tmp_path):
+    """The driver dies after each dedup state's parquet rows are written
+    but before its ``_STATE_META.json`` is: the rerun finds no meta and
+    writes the state again, and the state must hold exactly one copy of
+    the rows (40 content hashes; 40 docs x 4 LSH bands), not the crashed
+    attempt's rows plus the rerun's."""
+    chaos_dir = str(tmp_path / "chaos")
+    os.makedirs(chaos_dir)
+    out = _run_until_done(str(tmp_path / "w"), chaos_dir, max_attempts=4,
+                          script=_STATE_SCRIPT)
+    assert out["killed"] == ["killed_minhash_state_meta",
+                             "killed_seen_hashes_meta"]
+    assert out["rows"] == {"seen": 40, "minhash": 160}

@@ -15,7 +15,7 @@ from search_ingest_ray.functions.textstats import (
     token_count_batch,
 )
 from search_ingest_ray.functions.multimodal import (
-    FrameSampleStage, ImageFeatureStage,
+    frame_sample_batch, image_feature_batch,
 )
 
 
@@ -348,25 +348,24 @@ def test_fingerprint_whitespace_insensitive():
 def test_image_feature_stage_plumbing(rd):
     ds = rd.from_items([{"media_id": str(i), "data": bytes([i]) * 100}
                         for i in range(10)])
-    out = ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                         batch_size=4, concurrency=2).to_pandas()
+    out = ds.map_batches(image_feature_batch, batch_format="pyarrow",
+                         batch_size=4).to_pandas()
     assert len(out) == 10
     assert set(out.columns) == {"media_id", "width", "height", "n_bytes",
                                 "sha", "decoded", "feature"}
     assert (out["n_bytes"] == 100).all()
     assert not out["decoded"].any()   # raw bytes aren't a decodable image
     # deterministic across runs
-    out2 = ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                          batch_size=4, concurrency=2).to_pandas()
+    out2 = ds.map_batches(image_feature_batch, batch_format="pyarrow",
+                          batch_size=4).to_pandas()
     assert out.sort_values("media_id")["sha"].tolist() == \
         out2.sort_values("media_id")["sha"].tolist()
 
 
 def test_frame_sample_stage_explodes(rd):
     ds = rd.from_items([{"media_id": "v1", "data": b"xyz" * 50}])
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         concurrency=2,
-                         fn_constructor_kwargs={"frames": 3}).to_pandas()
+    out = ds.map_batches(frame_sample_batch, batch_format="pyarrow",
+                         fn_kwargs={"frames": 3}).to_pandas()
     assert len(out) == 3
     assert out["frame"].tolist() == [0, 1, 2]
 
@@ -857,8 +856,7 @@ def test_percolate_matches_brute_force(rd):
     for tbl, docs in ((tbl, docs),
                       (edge, list(zip(edge["doc_id"].to_pylist(),
                                       EDGE_TEXTS)))):
-        out = percolate(rd.from_arrow(tbl), queries,
-                        concurrency=1).to_pandas()
+        out = percolate(rd.from_arrow(tbl), queries).to_pandas()
         got = {(r.doc_id, r.query_id): r.n_matched
                for r in out.itertuples()}
         want = {}
@@ -978,7 +976,6 @@ def test_doc_keywords_vs_bruteforce(ray_session, sf_dir):
     from collections import Counter
 
     import pyarrow.parquet as pq
-    import ray
 
     from search_ingest_ray.analyzer import tokenize_simple
     from search_ingest_ray.functions.textstats import KeywordExtractor
@@ -989,7 +986,7 @@ def test_doc_keywords_vs_bruteforce(ray_session, sf_dir):
     df: Counter = Counter()
     for txt in texts:
         df.update(set(tokenize_simple(txt or "")))
-    ext = KeywordExtractor(ray.put(dict(df)), n, top=3)
+    ext = KeywordExtractor(dict(df), n, top=3)
     # independent reference for the first 50 docs and the edge cases,
     # whose terms outside the corpus read df 1
     edge = _edge_batch()

@@ -15,7 +15,7 @@ from search_ingest_ray.functions.imagecodec import (
     encode_png, encode_wav, image_features,
 )
 from search_ingest_ray.functions.multimodal import (
-    AudioFeatureStage, FrameSampleStage, ImageFeatureStage,
+    audio_feature_batch, frame_sample_batch, image_feature_batch,
 )
 
 
@@ -171,9 +171,8 @@ def test_jpeg_decodes_through_image_stage_strict(ray_session):
         rows.append({"media_id": f"j{i}",
                      "data": encode_jpeg(px, quality=90, subsampling=sub)})
     out = (rd.from_items(rows)
-           .map_batches(ImageFeatureStage, batch_format="pyarrow",
-                        concurrency=1,
-                        fn_constructor_kwargs={"strict": True})
+           .map_batches(image_feature_batch, batch_format="pyarrow",
+                        fn_kwargs={"strict": True})
            .to_pandas())
     assert out["decoded"].all()
     assert (out["width"] == 16).all() and (out["height"] == 16).all()
@@ -211,8 +210,8 @@ def test_image_stage_decodes_real_pixels(ray_session):
     imgs = [_rng_img(8, 8, 3, seed=i) for i in range(6)]
     ds = rd.from_items([{"media_id": str(i), "data": encode_png(im)}
                         for i, im in enumerate(imgs)])
-    out = ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                         batch_size=2, concurrency=2).to_pandas()
+    out = ds.map_batches(image_feature_batch, batch_format="pyarrow",
+                         batch_size=2).to_pandas()
     out = out.sort_values("media_id").reset_index(drop=True)
     assert out["decoded"].all()
     assert (out["width"] == 8).all() and (out["height"] == 8).all()
@@ -225,8 +224,8 @@ def test_audio_stage_mixed_corpus(ray_session):
     wav = encode_wav(np.zeros(1600), 16000)
     ds = rd.from_items([{"media_id": "a", "data": wav},
                         {"media_id": "b", "data": b"notawav"}])
-    out = ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
-                         concurrency=1).to_pandas()
+    out = ds.map_batches(audio_feature_batch,
+                         batch_format="pyarrow").to_pandas()
     out = out.set_index("media_id")
     assert bool(out.loc["a", "decoded"]) and not bool(out.loc["b", "decoded"])
     assert out.loc["a", "duration_us"] == 100_000
@@ -238,9 +237,8 @@ def test_frame_sample_concat_png_clip(ray_session):
     frames = [_rng_img(4, 4, 3, seed=40 + i) for i in range(5)]
     clip = b"".join(encode_png(f) for f in frames)
     ds = rd.from_items([{"media_id": "v", "data": clip}])
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         concurrency=1,
-                         fn_constructor_kwargs={"frames": 3}).to_pandas()
+    out = ds.map_batches(frame_sample_batch, batch_format="pyarrow",
+                         fn_kwargs={"frames": 3}).to_pandas()
     assert out["decoded"].all()
     assert out["frame"].tolist() == [0, 2, 4]
     for row, fr in zip(out.itertuples(), (0, 2, 4)):
@@ -321,10 +319,9 @@ def test_frame_sample_animated_gif(ray_session):
     gif = encode_gif(frames)
     composited = decode_gif_frames(gif)
     ds = rd.from_items([{"media_id": "g", "data": gif}])
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         concurrency=1,
-                         fn_constructor_kwargs={"frames": 3,
-                                                "strict": True}).to_pandas()
+    out = ds.map_batches(frame_sample_batch, batch_format="pyarrow",
+                         fn_kwargs={"frames": 3,
+                                    "strict": True}).to_pandas()
     assert out["decoded"].all()
     assert out["frame"].tolist() == [0, 2, 4]
     for row, fr in zip(out.itertuples(), (0, 2, 4)):
@@ -435,9 +432,8 @@ def test_frame_sample_avi(ray_session):
     corrupt = avi[:40]  # valid RIFF/AVI magic, torn header
     ds = rd.from_items([{"media_id": "v", "data": avi},
                         {"media_id": "bad", "data": corrupt}])
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         concurrency=1,
-                         fn_constructor_kwargs={"frames": 3}).to_pandas()
+    out = ds.map_batches(frame_sample_batch, batch_format="pyarrow",
+                         fn_kwargs={"frames": 3}).to_pandas()
     good = out[out.media_id == "v"]
     assert good["decoded"].all()
     assert good["frame"].tolist() == [0, 1, 3]
@@ -499,7 +495,7 @@ def test_mp4_truncation_and_codec_boundary():
 
 
 def test_frame_sample_mp4(ray_session):
-    """FrameSampleStage decodes MJPEG MP4 for real; a torn MP4 (valid
+    """frame_sample_batch decodes MJPEG MP4 for real; a torn MP4 (valid
     ftyp, headless) falls back to decoded=False rows when not strict."""
     import ray.data as rd
     from search_ingest_ray.functions.jpegcodec import encode_jpeg
@@ -510,9 +506,8 @@ def test_frame_sample_mp4(ray_session):
     corrupt = mp4[:40]
     ds = rd.from_items([{"media_id": "v", "data": mp4},
                         {"media_id": "bad", "data": corrupt}])
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         concurrency=1,
-                         fn_constructor_kwargs={"frames": 3}).to_pandas()
+    out = ds.map_batches(frame_sample_batch, batch_format="pyarrow",
+                         fn_kwargs={"frames": 3}).to_pandas()
     good = out[out.media_id == "v"].sort_values("frame")
     assert list(good.frame) == [0, 1, 3] and good.decoded.all()
     grays = [feat[0] * 255 for feat in good.feature]

@@ -151,3 +151,24 @@ def test_chunk_plan_batch_edges():
         "doc_id": pa.array([9], pa.int64()),
         "n_tokens": pa.array([0], pa.int64())}), max_tokens=8, stride=8)
     assert empty.num_rows == 0
+    # a string key under another name keeps its name and type
+    urls = chunk_plan_batch(pa.table({
+        "url": pa.array(["u/a", "u/b", "u/c"], pa.string()),
+        "n_tokens": pa.array([0, 5, 300], pa.int64())}),
+        max_tokens=128, stride=96, key_col="url")
+    assert urls.schema.field("url").type == pa.string()
+    assert "doc_id" not in urls.column_names
+    assert list(zip(urls["url"].to_pylist(),
+                    urls["chunk_idx"].to_pylist(),
+                    urls["start_tok"].to_pylist(),
+                    urls["n_toks"].to_pylist())) == [
+        ("u/b", 0, 0, 5),
+        ("u/c", 0, 0, 128), ("u/c", 1, 96, 128), ("u/c", 2, 192, 108),
+        ("u/c", 3, 288, 12),
+    ]
+    empty_urls = chunk_plan_batch(pa.table({
+        "url": pa.array(["u/z"], pa.string()),
+        "n_tokens": pa.array([0], pa.int64())}),
+        max_tokens=8, stride=8, key_col="url")
+    assert empty_urls.num_rows == 0
+    assert empty_urls.schema == urls.schema
