@@ -1140,15 +1140,16 @@ def q_corpus_filter(sf_dir: str):
     four independent tokenize passes; values are
     bit-identical to the unfused stages, so the SQL oracle is unchanged.
 
-    Votes: each signal family emits (doc_id, ok); ONE doc_id-keyed
-    groupby-sum combines them (a doc survives iff present with ok=1 in
-    all four vote streams) — no driver-side joins."""
+    Votes: each signal family emits (doc_id, ok); ONE doc_id-keyed sum
+    combines them (a doc survives iff present with ok=1 in all four vote
+    streams; ``keys_with_sum``: hash partitions, one Arrow group_by
+    each) — no driver-side joins."""
     import pyarrow.compute as pc
 
     from search_ingest_ray.functions.decontam import (CorpusSignalScorer,
                                                       benchmark_ngram_hashes,
                                                       dup_ngram_stats)
-    from search_ingest_ray.stages.fold import partitioned_fold
+    from search_ingest_ray.stages.fold import keys_with_sum, partitioned_fold
     docs = _docs(sf_dir)
 
     scorer = CorpusSignalScorer(
@@ -1194,11 +1195,7 @@ def q_corpus_filter(sf_dir: str):
         }), batch_format="pyarrow")
 
     votes = s1.union(s2).union(s3).union(s4)
-    summed = votes.groupby("doc_id").sum("ok")
-    return summed.map_batches(
-        lambda t: pa.table({"doc_id": t.filter(
-            pc.equal(t["sum(ok)"], FILTER_N_SIGNALS))["doc_id"]}),
-        batch_format="pyarrow")
+    return keys_with_sum(votes, "doc_id", "ok", FILTER_N_SIGNALS)
 
 
 RESCORE_WINDOW = 50

@@ -28,7 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..analyzer import tokenize_simple
-from ..stages.fold import partitioned_fold, _tag_partition, _PART_COL
+from ..stages.fold import (_PART_COL, _tag_partition, keys_with_sum,
+                           partitioned_fold)
 from ..util import chaos_kill_once, tok_hash_sql
 
 # -- exact dedup -------------------------------------------------------------
@@ -1207,9 +1208,9 @@ def incremental_near_dup_filter(ds, state_dir: str, *,
     group's state files (one sorted int64 membership searchsorted) and
     emits (id, hit) votes: every row of a band-0 group — every doc has
     exactly one band-0 row, short docs being padded to one shingle — and
-    the collided rows of the other bands; one tiny id-keyed groupby-sum
-    then keeps the ids with no hit (the corpus_filter vote pattern), so
-    the upstream runs once.  Candidate-level semantics (any band
+    the collided rows of the other bands; one id-keyed sum
+    (``keys_with_sum``) then keeps the ids with no hit (the corpus_filter
+    vote pattern), so the upstream runs once.  Candidate-level semantics (any band
     collision drops — the production LSH-filter behavior; Jaccard
     verification is :func:`dedup_clusters`' job).
     Returns surviving (doc_id) rows."""
@@ -1261,8 +1262,4 @@ def incremental_near_dup_filter(ds, state_dir: str, *,
 
     votes = rows.map_batches(tag, batch_format="pyarrow") \
         .groupby("gk").map_groups(probe, batch_format="pyarrow")
-    summed = votes.groupby(id_col).sum("hit")
-    return summed.map_batches(
-        lambda t: pa.table({id_col: t.filter(
-            pc.equal(t["sum(hit)"], 0))[id_col]}),
-        batch_format="pyarrow")
+    return keys_with_sum(votes, id_col, "hit", 0)

@@ -1457,16 +1457,31 @@ def build_index(input_paths, index_root: str, *,
             "segments_s": round(_t_build_done - _t_spill_done, 3)}
            if _t_spill_done is not None else {}),
     }
+    return commit_epoch(ed, manifest, n_docs=n_docs, n_postings=n_postings,
+                        total_tokens=total_tokens, k1=k1, b=b,
+                        analyzer=analyzer, num_term_partitions=P,
+                        hot_salt=hot_salt, hot_df_threshold=hot_df_threshold,
+                        hot_terms=hot_df)
+
+
+def commit_epoch(ed: str, manifest: dict, *, n_docs: int, n_postings: int,
+                 total_tokens: int, k1: float, b: float, analyzer: str,
+                 num_term_partitions: int, hot_salt: int,
+                 hot_df_threshold: int, hot_terms: dict) -> dict:
+    """Record an epoch's corpus stats and mark its manifest done: writes
+    ``manifest.json``, then ``stats.json`` (the file searchers open)."""
     manifest["stats"] = {
         "n_docs": int(n_docs), "n_postings": int(n_postings),
-        "total_tokens": int(total_tokens), "avgdl": float(avgdl),
+        "total_tokens": int(total_tokens),
+        "avgdl": float(total_tokens / n_docs) if n_docs else 1.0,
         "k1": k1, "b": b, "analyzer": analyzer,
-        "num_term_partitions": P, "hot_salt": hot_salt,
+        "num_term_partitions": int(num_term_partitions),
+        "hot_salt": int(hot_salt),
         "hot_df_threshold": int(hot_df_threshold),
-        "hot_terms": hot_df,
+        "hot_terms": hot_terms,
     }
     manifest["status"] = "done"
-    atomic_write_json(manifest_path, manifest)
+    atomic_write_json(os.path.join(ed, "manifest.json"), manifest)
     atomic_write_json(os.path.join(ed, "stats.json"), manifest["stats"])
     return manifest
 

@@ -4,12 +4,14 @@ changefeed-driven sync (/root/reference/src/search-ingest/table.cr:25-46).
 Model: the live table is a sequence of epoch snapshots kept in a
 HASH-BUCKETED layout (``snapshots/eNNNN/__bucket=B/``).  Applying a delta:
 
-1. compute the touched buckets (the distinct ``hash(id) % NB`` of delta
-   rows — a tiny driver-side set);
-2. fold ONLY the touched buckets (previous bucket rows ∪ delta rows,
-   last-write-wins + tombstones, vectorized partitioned fold) and write
-   them, hard-linking every untouched bucket's files from the previous
-   snapshot (content-identical, zero IO).
+1. the driver reads the delta (small by construction: a delta whose
+   Parquet footer reports more than ``_TASK_DELTA_BYTES`` is applied as a
+   full rewrite, like a backfill) and splits it by ``hash(id) % NB``;
+2. one plain Ray task per TOUCHED bucket reads the previous snapshot's
+   bucket once, folds it with the bucket's delta rows (last-write-wins +
+   tombstones, ``stages.fold._fold_partition``) and writes it back
+   (tmp + rename); every untouched bucket's files are hard-linked from the
+   previous snapshot (content-identical, zero IO).
 
 Two index-maintenance modes per epoch:
 
@@ -20,18 +22,19 @@ Two index-maintenance modes per epoch:
   so stage 1 is O(delta); stage 2 (exchange + segments) rebuilds from the
   full postings, keeping stored block-max bounds exact.
 - ``mode="delta"`` (Lucene-style delta segments): the epoch indexes ONLY
-  the delta's surviving docs and records a DEAD-docid set (old versions of
-  updated/deleted docs) plus exact cumulative stats (N, total tokens —
-  the old versions' token counts are recomputed by tokenizing just those
-  O(delta) rows from the previous snapshot).  Queries go through
-  :class:`~search_ingest_ray.query.multi.MultiEpochSearcher`, which
-  suppresses dead docids and scores with the exact CURRENT global stats —
-  results are identical to a full rebuild.  Per-epoch cost is O(delta)
-  end-to-end.  Each delta epoch also writes a DEAD-TERM PATCH
-  (``df_patch/``, from the same O(delta) old-version retokenize), which
-  lets the multi-searcher compute exact chain-wide df from metadata and
-  prune posting blocks with stat-drift-corrected block-max bounds
-  (see ``query/multi.py``).
+  the delta's surviving docs, in one more Ray task, and records a
+  DEAD-docid set (old versions of updated/deleted docs) plus exact
+  cumulative stats (N, total tokens).  The bucket tasks take the old
+  versions of the delta's ids out of the bucket they already read and
+  tokenize them once: their postings give each old doc's length and a
+  DEAD-TERM PATCH (``df_patch/``), which lets the multi-searcher compute
+  exact chain-wide df from metadata and prune posting blocks with
+  stat-drift-corrected block-max bounds (see ``query/multi.py``).  Queries
+  go through :class:`~search_ingest_ray.query.multi.MultiEpochSearcher`,
+  which suppresses dead docids and scores with the exact CURRENT global
+  stats — results are identical to a full rebuild.  Per-epoch cost is
+  O(delta) tokenize and segment work plus O(touched buckets) snapshot I/O
+  (a touched bucket is rewritten whole), with no Ray Data execution.
 
 Properties preserved from the reference:
 
@@ -47,6 +50,8 @@ Properties preserved from the reference:
 from __future__ import annotations
 
 import os
+import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -56,12 +61,21 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..index.build import build_index, epoch_dir
-from ..stages.fold import apply_epoch, fold_last_write_wins
-from ..util import (atomic_write_json, chaos_kill_once, read_json,
+from ..index.build import (_assign_tpart, _build_segments_block, _emit,
+                           _fields_batch, build_index, commit_epoch,
+                           epoch_dir)
+from ..query.bm25 import B_DEFAULT, K1_DEFAULT, BM25Params
+from ..stages.analyze import extract_batch
+from ..stages.fold import _PART_COL, _fold_partition, apply_epoch
+from ..util import (atomic_write_json, chaos_kill_once, hash_ids, read_json,
                     stable_partition_column)
 
 _BUCKET_COL = "__bucket"
+
+# Largest delta (uncompressed bytes, from its Parquet footer) that the
+# driver reads whole and hands to per-bucket tasks; a larger one is folded
+# into a full snapshot rewrite by Ray Data, as a backfill is.
+_TASK_DELTA_BYTES = 64 << 20
 
 
 def snapshot_dir(index_root: str, epoch: int) -> str:
@@ -76,46 +90,193 @@ def _bucket_files(sd: str, b: int) -> list[str]:
                   if f.endswith(".parquet"))
 
 
+def _parquet_files(d: str) -> list[str]:
+    return sorted(os.path.join(r, f) for r, _, fs in os.walk(d)
+                  for f in fs if f.endswith(".parquet"))
+
+
 def _tag_bucket(batch: pa.Table, *, id_col: str, num_buckets: int) -> pa.Table:
     part = stable_partition_column(batch[id_col], num_buckets)
     return batch.append_column(_BUCKET_COL, pa.array(part.astype(np.int64)))
 
 
-def _touched_buckets(delta_ds, id_col: str, num_buckets: int) -> set[int]:
-    """Distinct delta buckets via tiny per-batch partials (no shuffle)."""
-    def distinct(batch: pa.Table) -> pa.Table:
-        part = stable_partition_column(batch[id_col], num_buckets)
-        return pa.table({"b": pa.array(np.unique(part).astype(np.int64))})
-    rows = delta_ds.map_batches(distinct, batch_format="pyarrow").take_all()
-    return {int(r["b"]) for r in rows}
-
-
 def _link_file(src: str, dst: str) -> None:
-    import shutil
     try:
         os.link(src, dst)
     except OSError:
         shutil.copy2(src, dst)
 
 
+def _delta_files(delta_paths) -> list[str]:
+    paths = [delta_paths] if isinstance(delta_paths, str) else delta_paths
+    out = []
+    for p in paths:
+        out.extend(_parquet_files(p) if os.path.isdir(p) else [p])
+    return out
+
+
+def _delta_bytes(files: list[str]) -> int:
+    total = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        total += sum(md.row_group(i).total_byte_size
+                     for i in range(md.num_row_groups))
+    return total
+
+
+def _read_tables(files: list[str]) -> pa.Table | None:
+    if not files:
+        return None
+    return pa.concat_tables([pq.read_table(f) for f in files],
+                            promote_options="default")
+
+
+def _fold_rows(base: pa.Table | None, delta: pa.Table,
+               id_col: str) -> pa.Table:
+    """``apply_epoch`` on Arrow tables: base rows are epoch -1 ``created``
+    rows, the fold keeps each id's latest row and drops tombstoned ids;
+    the result has the base's columns (the delta's without a base)."""
+    if base is not None:
+        n = base.num_rows
+        if "epoch" not in base.column_names:
+            base = base.append_column(
+                "epoch", pa.array(np.full(n, -1, np.int64)))
+        if "action" not in base.column_names:
+            base = base.append_column(
+                "action", pa.array(["created"] * n, pa.string()))
+        delta = pa.concat_tables(
+            [base, delta.select(base.column_names).cast(base.schema)])
+    delta = delta.append_column(
+        _PART_COL, pa.array(np.zeros(delta.num_rows, np.int32)))
+    out = _fold_partition(delta, key_cols=[id_col], order_cols=["epoch"],
+                          keep="last", action_col="action")
+    return out.drop_columns([c for c in ("epoch", "action")
+                             if c in out.column_names])
+
+
+def _docids(t: pa.Table, id_col: str, id_is_int: bool) -> np.ndarray:
+    if id_is_int:
+        return t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    return np.array(hash_ids(t[id_col].to_pylist()), dtype=np.int64)
+
+
+def _write_parquet(t: pa.Table, path: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
+def _old_version_stats(prev: pa.Table | None, delta: pa.Table, *, bucket,
+                       id_col, text_col, html_col, analyzer, id_is_int,
+                       patch_dir) -> dict:
+    """Tokenize the previous versions of the delta's ids (from the bucket
+    already in memory) once: their docids are dead from this epoch on,
+    their postings give each doc's length (0 without postings) and this
+    bucket's part of the DEAD-TERM PATCH — per term, the number of dead
+    docs containing it.  Summed over the chain the patch gives the exact
+    number of postings a term loses to dead-docid suppression, so
+    :class:`~search_ingest_ray.query.multi.MultiEpochSearcher` computes
+    the exact chain-wide df from term-dictionary metadata alone."""
+    t0 = time.monotonic()
+    old = None
+    if prev is not None:
+        ids = pc.unique(delta[id_col].combine_chunks()).drop_null()
+        old = prev.filter(pc.is_in(prev[id_col], value_set=ids))
+        old = old.filter(pc.is_valid(old[id_col]))
+    if old is None or old.num_rows == 0:
+        return {"dead": np.empty(0, np.int64), "n_old": 0, "sum_dl_old": 0,
+                "old_stats_s": time.monotonic() - t0}
+    # chaos point: a WORKER dies mid old-version retokenize (delta epochs
+    # only) — Ray task retry must reproduce identical stats
+    chaos_kill_once("old_dl")
+    src = extract_batch(old.select([id_col, html_col])) if html_col \
+        else old.select([id_col, text_col])
+    posts = _emit(src, text_col=text_col, id_col=id_col, id_is_int=id_is_int,
+                  analyzer=analyzer)
+    dead = _docids(old, id_col, id_is_int)
+    dl = np.zeros(dead.size, np.int64)  # a doc without postings has dl 0
+    if posts.num_rows:
+        docs, first = np.unique(posts["docid"].to_numpy(), return_index=True)
+        at = np.searchsorted(docs, dead).clip(max=docs.size - 1)
+        hit = docs[at] == dead
+        dl[hit] = posts["dl"].to_numpy()[first][at[hit]]
+    # chaos point: a WORKER dies mid dead-term-patch write — the retried
+    # task rewrites the same part file
+    chaos_kill_once("df_patch")
+    if posts.num_rows:
+        # one posting row per distinct (term, doc) → rows-per-term is the
+        # bucket's dead-doc count per term
+        vc = pc.value_counts(posts["term"])
+        _write_parquet(pa.table({
+            "term": vc.field("values"),
+            "cnt": pc.cast(vc.field("counts"), pa.int64())}),
+            os.path.join(patch_dir, f"part-{bucket:05d}.parquet"))
+    return {"dead": np.sort(dead), "n_old": int(old.num_rows),
+            "sum_dl_old": int(dl.sum()), "old_stats_s": time.monotonic() - t0}
+
+
+@ray.remote(max_retries=3)
+def _advance_bucket(prev_files: list[str], delta: pa.Table, sd: str,
+                    bucket: int, *, id_col: str,
+                    dead_set: dict | None) -> dict | None:
+    """One touched bucket: read the previous snapshot's bucket once, fold
+    it with the bucket's delta rows and write it (tmp + rename, so a
+    retried task is idempotent).  With ``dead_set`` (delta epochs) the
+    same pass also computes the old-version stats."""
+    prev = _read_tables(prev_files)
+    stats = None
+    if dead_set is not None:
+        stats = _old_version_stats(prev, delta, bucket=bucket, id_col=id_col,
+                                   **dead_set)
+    folded = _fold_rows(prev, delta, id_col)
+    if folded.num_rows:
+        _write_parquet(folded, os.path.join(sd, f"{_BUCKET_COL}={bucket}",
+                                            "part-0.parquet"))
+    return stats
+
+
+def _commit_dead_set(ed: str, stats: list[dict], tasks: int) -> None:
+    np.save(os.path.join(ed, "dead_docids.npy"),
+            np.sort(np.concatenate([s["dead"] for s in stats]))
+            if stats else np.empty(0, np.int64))
+    _mark_done(os.path.join(ed, "df_patch"))
+    atomic_write_json(os.path.join(ed, "delta_meta.json"), {
+        "mode": "delta",
+        "n_old": sum(s["n_old"] for s in stats),
+        "sum_dl_old": sum(s["sum_dl_old"] for s in stats),
+        "old_stats_s": round(sum(s["old_stats_s"] for s in stats), 4),
+        "tasks": tasks,
+    })
+
+
 def _update_snapshot(index_root: str, delta_paths, epoch: int, *,
                      id_col: str, num_buckets: int,
-                     base_paths=None) -> tuple[str, dict]:
+                     base_paths=None, dead_set: dict | None = None
+                     ) -> tuple[str, dict]:
     """Maintain the bucketed snapshot for ``epoch`` (idempotent via the
-    _SNAPSHOT_DONE marker).  Returns (snapshot dir, bucket versions)."""
+    _SNAPSHOT_DONE marker).  Returns (snapshot dir, bucket versions).
+
+    ``dead_set`` (delta epochs: the analyzer settings) makes the bucket
+    tasks also compute the old-version stats, committed to the epoch dir
+    (``dead_docids.npy``, ``df_patch/``, ``delta_meta.json``) before the
+    snapshot is."""
     sd = snapshot_dir(index_root, epoch)
     done_marker = os.path.join(sd, "_SNAPSHOT_DONE")
     meta_path = os.path.join(index_root, "snapshot_meta.json")
     meta = read_json(meta_path) if os.path.exists(meta_path) else \
         {"num_buckets": num_buckets, "epochs": {}}
     num_buckets = int(meta["num_buckets"])
+    ed = epoch_dir(index_root, epoch) if dead_set is not None else None
+    done = os.path.exists(done_marker) and (
+        ed is None or os.path.exists(os.path.join(ed, "delta_meta.json")))
 
-    if not os.path.exists(done_marker):
-        import shutil
+    if not done:
         shutil.rmtree(sd, ignore_errors=True)  # clear partial snapshot
         os.makedirs(sd, exist_ok=True)
         if epoch == 0 or base_paths is not None:
             base = rd.read_parquet(base_paths)
+            if _BUCKET_COL in base.schema().names:  # hive key of a snapshot
+                base = base.drop_columns([_BUCKET_COL])
             if delta_paths is not None:
                 folded = apply_epoch(base, rd.read_parquet(delta_paths), id_col)
                 drop = [c for c in ("epoch", "action")
@@ -134,59 +295,43 @@ def _update_snapshot(index_root: str, delta_paths, epoch: int, *,
             prev_versions = meta["epochs"].get(str(epoch - 1), {})
             versions = {str(b): int(prev_versions.get(str(b), -1)) + 1
                         for b in range(num_buckets)}
-        elif delta_paths is None:
-            # compaction epoch: no new rows — hard-link EVERY bucket from
-            # the previous snapshot with versions UNCHANGED, so the full
-            # build's chunk fingerprints still match the last full epoch's
-            # and untouched buckets re-link their postings
+        else:
+            # untouched buckets are hard-linked with their version
+            # UNCHANGED (a compaction epoch has no delta and touches none,
+            # so the full build's chunk fingerprints still match the last
+            # full epoch's and its postings re-link); each touched bucket
+            # bumps its version and is folded by one task
             prev_sd = snapshot_dir(index_root, epoch - 1)
             prev_versions = meta["epochs"][str(epoch - 1)]
-            versions = {str(b): int(prev_versions[str(b)])
+            touched: dict[int, pa.Table] = {}
+            if delta_paths is not None:
+                delta = _read_tables(_delta_files(delta_paths))
+                bucket = stable_partition_column(delta[id_col], num_buckets)
+                touched = {int(b): delta.filter(pa.array(bucket == b))
+                           for b in np.unique(bucket)}
+            versions = {str(b): int(prev_versions[str(b)]) + (b in touched)
                         for b in range(num_buckets)}
             for b in range(num_buckets):
-                files = _bucket_files(prev_sd, b)
+                files = [] if b in touched else _bucket_files(prev_sd, b)
                 if files:
                     dstd = os.path.join(sd, f"{_BUCKET_COL}={b}")
                     os.makedirs(dstd, exist_ok=True)
                     for f in files:
                         _link_file(f, os.path.join(dstd, os.path.basename(f)))
-        else:
-            prev_sd = snapshot_dir(index_root, epoch - 1)
-            prev_versions = meta["epochs"][str(epoch - 1)]
-            delta = rd.read_parquet(delta_paths)
-            touched = _touched_buckets(delta, id_col, num_buckets)
-            # untouched buckets: hard-link the previous snapshot's files
-            versions = {}
-            for b in range(num_buckets):
-                if b in touched:
-                    versions[str(b)] = int(prev_versions[str(b)]) + 1
-                    continue
-                versions[str(b)] = int(prev_versions[str(b)])
-                files = _bucket_files(prev_sd, b)
-                if files:
-                    dstd = os.path.join(sd, f"{_BUCKET_COL}={b}")
-                    os.makedirs(dstd, exist_ok=True)
-                    for f in files:
-                        _link_file(f, os.path.join(dstd, os.path.basename(f)))
-            # touched buckets: fold prev ∪ delta, one Ray job, partitioned
-            # write back into the snapshot
-            prev_files = [f for b in sorted(touched)
-                          for f in _bucket_files(prev_sd, b)]
-            base = rd.read_parquet(prev_files) if prev_files else None
-            if base is not None:
-                base = base.drop_columns([_BUCKET_COL]) \
-                    if _BUCKET_COL in base.schema().names else base
-                folded = apply_epoch(base, delta, id_col)
-            else:
-                folded = fold_last_write_wins(delta, id_col, ["epoch"],
-                                              action_col="action")
-            drop = [c for c in ("epoch", "action") if c in folded.schema().names]
-            if drop:
-                folded = folded.drop_columns(drop)
-            tagged = folded.map_batches(
-                _tag_bucket, batch_format="pyarrow",
-                fn_kwargs=dict(id_col=id_col, num_buckets=num_buckets))
-            tagged.write_parquet(sd, partition_cols=[_BUCKET_COL])
+            if ed is not None:
+                patch_dir = os.path.join(ed, "df_patch")
+                shutil.rmtree(patch_dir, ignore_errors=True)
+                dead_set = {**dead_set, "patch_dir": patch_dir}
+            stats = ray.get([
+                _advance_bucket.remote(_bucket_files(prev_sd, b), part, sd, b,
+                                       id_col=id_col, dead_set=dead_set)
+                for b, part in sorted(touched.items())])
+            if ed is not None:
+                _commit_dead_set(ed, stats, len(touched))
+                # chaos point: driver dies with the dead-set/df-patch
+                # committed but before the snapshot advance — the rerun
+                # redoes the (idempotent) bucket tasks and commits both
+                chaos_kill_once(f"delta_meta_e{epoch}")
         # chaos point: driver dies with the snapshot files written but no
         # done marker — the rerun must rmtree the partial snapshot and
         # redo it (tests/test_chaos.py::test_epoch_apply_driver_crashes)
@@ -225,13 +370,19 @@ def apply_delta_epoch(index_root: str, delta_paths, epoch: int, *,
     ``base_paths``: input for epoch 0 (the backfill); later epochs read the
     previous bucketed snapshot.  ``mode``: "full" (snapshot rebuild,
     O(delta) tokenize + full stage 2) or "delta" (delta segments + dead-set
-    suppression, O(delta) end-to-end — query via MultiEpochSearcher).
+    suppression, O(delta) tokenize and segment work — query via
+    MultiEpochSearcher).  A delta larger than ``_TASK_DELTA_BYTES`` is
+    applied as "full" with the whole previous snapshot as its base.
     Returns the epoch build manifest.
     """
     if mode not in ("full", "delta"):
         raise ValueError(f"unknown epoch mode {mode!r}")
     if mode == "delta" and (epoch == 0 or base_paths is not None):
         mode = "full"  # a backfill is by definition a full build
+    if (delta_paths is not None and base_paths is None and epoch > 0
+            and _delta_bytes(_delta_files(delta_paths)) > _TASK_DELTA_BYTES):
+        mode = "full"
+        base_paths = _parquet_files(snapshot_dir(index_root, epoch - 1))
 
     if mode == "delta":
         return _apply_delta_segments(
@@ -266,86 +417,8 @@ def apply_delta_epoch(index_root: str, delta_paths, epoch: int, *,
 # delta-segment mode
 
 
-def _delta_ids(delta_ds, id_col: str):
-    """Distinct delta ids: per-batch partial distinct, final set on the
-    driver (a delta is O(changed docs) by definition)."""
-    def distinct(batch: pa.Table) -> pa.Table:
-        col = batch[id_col]
-        return pa.table({id_col: pc.unique(
-            col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)})
-    parts = delta_ds.map_batches(distinct, batch_format="pyarrow").take_all()
-    return sorted({r[id_col] for r in parts})
-
-
-def _old_version_stats(prev_files, delta_ids, *, id_col, text_col, html_col,
-                       analyzer, id_is_int, patch_dir=None):
-    """Tokenize ONLY the previous versions of changed docs (O(delta)):
-    returns (dead_docids sorted int64, n_old, sum_dl_old).
-
-    When ``patch_dir`` is given, also writes the DEAD-TERM PATCH — one row
-    per distinct term of the old versions with the count of dead docs
-    containing it.  Summed over the chain this gives the exact number of
-    postings a term loses to dead-docid suppression, so
-    :class:`~search_ingest_ray.query.multi.MultiEpochSearcher` can compute
-    the exact chain-wide df from term-dictionary metadata alone (no posting
-    decode) and restore block-max pruning on delta chains.  The patch is
-    O(delta vocabulary) and aggregated with a native groupby (never
-    materialized on the driver)."""
-    from ..stages.analyze import DoclenEmitter, PostingEmitter, extract_batch
-    if patch_dir is not None:
-        import shutil
-        shutil.rmtree(patch_dir, ignore_errors=True)
-        os.makedirs(patch_dir, exist_ok=True)
-    if not prev_files:
-        if patch_dir is not None:
-            _mark_done(patch_dir)
-        return np.empty(0, dtype=np.int64), 0, 0
-    ids_arr = pa.array(delta_ids)
-    ids_ref = ray.put(ids_arr)
-
-    def pick(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t[id_col], value_set=ray.get(ids_ref)))
-
-    ds = rd.read_parquet(prev_files).map_batches(pick, batch_format="pyarrow")
-    if html_col:
-        ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-    if patch_dir is not None:
-        ds = ds.materialize()  # consumed twice below; O(delta) rows
-    emitter = DoclenEmitter(text_col, id_col, id_is_int, analyzer)
-
-    def emit_dl(t: pa.Table) -> pa.Table:
-        # chaos point: a WORKER dies mid old-version retokenize (delta
-        # epochs only) — Ray task retry must reproduce identical stats
-        chaos_kill_once("old_dl")
-        return emitter(t)
-
-    rows = ds.map_batches(emit_dl, batch_format="pyarrow").take_all()
-    docids = np.array(sorted(int(r["docid"]) for r in rows), dtype=np.int64)
-    sum_dl = int(sum(int(r["dl"]) for r in rows))
-    if patch_dir is not None:
-        pe = PostingEmitter(text_col, id_col, id_is_int, analyzer)
-
-        def partial_counts(t: pa.Table) -> pa.Table:
-            # chaos point: a WORKER dies mid dead-term-patch counting —
-            # the retried task must leave the groupby-sum patch exact
-            chaos_kill_once("df_patch")
-            # one posting row per distinct (term, doc) → rows-per-term is
-            # the batch-partial dead-doc count
-            posts = pe(t)
-            if posts.num_rows == 0:
-                return pa.table({"term": pa.array([], pa.string()),
-                                 "cnt": pa.array([], pa.int64())})
-            vc = pc.value_counts(posts["term"])
-            return pa.table({"term": vc.field("values"),
-                             "cnt": pc.cast(vc.field("counts"), pa.int64())})
-
-        counted = ds.map_batches(partial_counts, batch_format="pyarrow")
-        counted.groupby("term").sum("cnt").write_parquet(patch_dir)
-        _mark_done(patch_dir)
-    return docids, len(rows), sum_dl
-
-
 def _mark_done(d: str) -> None:
+    os.makedirs(d, exist_ok=True)
     with open(os.path.join(d, "_DONE"), "w") as f:
         f.write("ok")
 
@@ -361,89 +434,113 @@ def _prev_cum_stats(index_root: str, epoch: int) -> dict:
             "k1": st["k1"], "b": st["b"]}
 
 
+@ray.remote(max_retries=3)
+def _delta_segment(delta_files: list[str], ed: str, *, id_col, text_col,
+                   html_col, id_is_int, analyzer, k1=K1_DEFAULT,
+                   b=B_DEFAULT, with_positions=False, store_fields=None,
+                   field_shards=16, num_term_partitions=None,
+                   **_stage2_kwargs) -> dict:
+    """The epoch's own index over the delta's surviving rows, in one task:
+    postings (``build._emit``), term partitions without hot terms, one
+    ``build_segment_group`` per partition and the docvalues sidecar.  The
+    stage-2 exchange options of ``build_index`` do not apply.  Every file
+    is written tmp + rename, so a retried task is idempotent.  Returns
+    the manifest parts the driver commits."""
+    t0 = time.monotonic()
+    live = _fold_rows(None, _read_tables(delta_files), id_col)
+    src = extract_batch(live.select([id_col, html_col])) if html_col \
+        else live.select([id_col, text_col])
+    posts = _emit(src, text_col=text_col, id_col=id_col, id_is_int=id_is_int,
+                  analyzer=analyzer, with_positions=with_positions)
+    n_docs, n_postings = live.num_rows, posts.num_rows
+    total_tokens = int(pc.sum(posts["tf"]).as_py() or 0)
+    P = int(num_term_partitions or 1)
+    segments_dir = os.path.join(ed, "segments")
+    shutil.rmtree(segments_dir, ignore_errors=True)
+    os.makedirs(segments_dir)
+    segments = {}
+    if n_postings:
+        params = BM25Params(k1=k1, b=b, n_docs=n_docs,
+                            avgdl=total_tokens / n_docs)
+        parts = _assign_tpart(posts, num_partitions=P, hot_salt=1,
+                              hot_ref=None)
+        parts = parts.take(pc.sort_indices(parts, [("tpart", "ascending")]))
+        summary = _build_segments_block(parts, segments_dir=segments_dir,
+                                        params=params, hot_df={})
+        segments = {str(p): {"status": "done", "n_terms": 0, "n_postings": 0,
+                             "bytes": 0, "wall_s": 0.0} for p in range(P)}
+        for r in summary.to_pylist():
+            segments[str(r["tpart"])] = {
+                "status": "done", "n_terms": r["n_terms"],
+                "n_postings": r["n_postings"], "bytes": r["bytes"],
+                "wall_s": round(r["wall_s"], 3), "read_s": 0.0}
+    fields_dir = os.path.join(ed, "fields")
+    shutil.rmtree(fields_dir, ignore_errors=True)
+    if store_fields:
+        store_fields = sorted(store_fields)
+        os.makedirs(fields_dir)
+        atomic_write_json(os.path.join(fields_dir, "meta.json"),
+                          {"field_shards": int(field_shards)})
+        fields = _fields_batch(
+            live.select(list(dict.fromkeys([id_col] + store_fields))),
+            id_col=id_col, id_is_int=id_is_int, store_fields=store_fields,
+            field_shards=field_shards)
+        shard = fields["fshard"].to_numpy()
+        fields = fields.drop_columns(["fshard"])
+        for s in np.unique(shard):
+            _write_parquet(fields.filter(pa.array(shard == s)), os.path.join(
+                fields_dir, "chunk=00000", f"fshard={s}", "part-0.parquet"))
+    wall = time.monotonic() - t0
+    return {"n_docs": n_docs, "n_postings": n_postings,
+            "total_tokens": total_tokens, "num_term_partitions": P,
+            "segments": segments, "segment_s": wall,
+            "chunk": {"files": delta_files, "rows": n_docs,
+                      "tokens": total_tokens, "status": "done",
+                      "fingerprint": None, "wall_s": round(wall, 3)}}
+
+
 def _apply_delta_segments(index_root: str, delta_paths, epoch: int, *,
                           id_col, text_col, html_col, id_is_int, analyzer,
                           num_buckets, **build_kwargs) -> dict:
     ed = epoch_dir(index_root, epoch)
     os.makedirs(ed, exist_ok=True)
-    prev_sd = snapshot_dir(index_root, epoch - 1)
+    manifest_path = os.path.join(ed, "manifest.json")
+    files = _delta_files(delta_paths)
+    analysis = dict(text_col=text_col, html_col=html_col,
+                    id_is_int=id_is_int, analyzer=analyzer)
+    manifest = read_json(manifest_path) if os.path.exists(manifest_path) \
+        else {}
+    t0 = time.monotonic()
+    # dispatched first: the segment task needs only the delta, so it runs
+    # beside the bucket tasks
+    seg_ref = None if manifest.get("status") == "done" else \
+        _delta_segment.remote(files, ed, id_col=id_col, **analysis,
+                              **build_kwargs)
+    _update_snapshot(index_root, files, epoch, id_col=id_col,
+                     num_buckets=num_buckets, dead_set=analysis)
+    snapshot_s = time.monotonic() - t0
+    dmeta = read_json(os.path.join(ed, "delta_meta.json"))
 
-    # delta artifacts (idempotent via their own marker): dead set + old-dl
-    # sums computed BEFORE the snapshot advances
-    dmeta_path = os.path.join(ed, "delta_meta.json")
-    dead_path = os.path.join(ed, "dead_docids.npy")
-    if not os.path.exists(dmeta_path):
-        delta = rd.read_parquet(delta_paths)
-        ids = _delta_ids(delta, id_col)
-        meta_path = os.path.join(index_root, "snapshot_meta.json")
-        nb = int(read_json(meta_path)["num_buckets"]) \
-            if os.path.exists(meta_path) else num_buckets
-        touched = set(stable_partition_column(pa.array(ids), nb).tolist())
-        prev_files = [f for b in sorted(touched)
-                      for f in _bucket_files(prev_sd, b)]
-        dead, n_old, sum_dl_old = _old_version_stats(
-            prev_files, ids, id_col=id_col, text_col=text_col,
-            html_col=html_col, analyzer=analyzer, id_is_int=id_is_int,
-            patch_dir=os.path.join(ed, "df_patch"))
-        np.save(dead_path, dead)
-        atomic_write_json(dmeta_path, {
-            "mode": "delta", "n_changed_ids": len(ids),
-            "n_old": int(n_old), "sum_dl_old": int(sum_dl_old),
-        })
-
-    # chaos point: driver dies with the dead-set/df-patch committed but
-    # before the snapshot advance — the rerun must skip the (idempotent)
-    # delta-meta block and continue from the snapshot
-    chaos_kill_once(f"delta_meta_e{epoch}")
-
-    # advance the bucketed snapshot (compaction fallback + next-delta base)
-    _update_snapshot(index_root, delta_paths, epoch,
-                     id_col=id_col, num_buckets=num_buckets)
-
-    # surviving delta docs → the epoch's own small index
-    live_dir = os.path.join(ed, "delta_docs")
-    live_marker = os.path.join(live_dir, "_DONE")
-    if not os.path.exists(live_marker):
-        import shutil
-        shutil.rmtree(live_dir, ignore_errors=True)
-        os.makedirs(live_dir, exist_ok=True)
-        delta = rd.read_parquet(delta_paths)
-        live = fold_last_write_wins(delta, id_col, ["epoch"],
-                                    action_col="action")
-        drop = [c for c in ("epoch", "action") if c in live.schema().names]
-        if drop:
-            live = live.drop_columns(drop)
-        live.write_parquet(live_dir)
-        with open(live_marker, "w") as f:
-            f.write("ok")
-    live_files = sorted(os.path.join(live_dir, f)
-                        for f in os.listdir(live_dir)
-                        if f.endswith(".parquet"))
-
-    build_kwargs.pop("chunk_files", None)
-    if live_files:
-        manifest = build_index(live_files, index_root, epoch=epoch,
-                               id_col=id_col, text_col=text_col,
-                               html_col=html_col, id_is_int=id_is_int,
-                               analyzer=analyzer, chunk_files=8,
-                               **build_kwargs)
-        ep_stats = manifest["stats"]
-    else:  # delete-only delta: no new docs, only suppression
-        st_path = os.path.join(ed, "stats.json")
-        k1 = build_kwargs.get("k1", 1.2)
-        b = build_kwargs.get("b", 0.75)
-        stub = {"n_docs": 0, "n_postings": 0, "total_tokens": 0,
-                "avgdl": 1.0, "k1": k1, "b": b, "analyzer": analyzer,
-                "num_term_partitions": 1, "hot_salt": 1,
-                "hot_df_threshold": 0, "hot_terms": {}}
-        atomic_write_json(st_path, stub)
-        manifest = {"epoch": epoch, "status": "done", "chunks": {},
-                    "segments": {}, "stats": stub}
-        atomic_write_json(os.path.join(ed, "manifest.json"), manifest)
-        ep_stats = stub
+    if seg_ref is not None:
+        seg = ray.get(seg_ref)
+        manifest = {
+            "epoch": epoch, "chunks": {"00000": seg["chunk"]},
+            "segments": seg["segments"],
+            "stage_walls": {"snapshot_s": round(snapshot_s, 3),
+                            "old_stats_s": dmeta["old_stats_s"],
+                            "segment_s": round(seg["segment_s"], 3)},
+            "tasks": dmeta["tasks"] + 1,
+        }
+        commit_epoch(ed, manifest, n_docs=seg["n_docs"],
+                     n_postings=seg["n_postings"],
+                     total_tokens=seg["total_tokens"],
+                     k1=build_kwargs.get("k1", K1_DEFAULT),
+                     b=build_kwargs.get("b", B_DEFAULT), analyzer=analyzer,
+                     num_term_partitions=seg["num_term_partitions"],
+                     hot_salt=1, hot_df_threshold=0, hot_terms={})
+    ep_stats = manifest["stats"]
 
     # exact cumulative stats: prev − old versions + new versions
-    dmeta = read_json(dmeta_path)
     prev = _prev_cum_stats(index_root, epoch - 1)
     cum = {
         "n_docs": int(prev["n_docs"]) - dmeta["n_old"] + int(ep_stats["n_docs"]),

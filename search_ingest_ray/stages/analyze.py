@@ -230,20 +230,3 @@ class PostingEmitter:
             out = out.append_column("pos", pa.array(out_pos, pa.list_(pa.int32())))
         return out
 
-
-class DoclenEmitter:
-    """Per-document length/id rows (docid, dl) — used for corpus stats when
-    zero-token docs must still count toward N/avgdl."""
-
-    def __init__(self, text_col: str = "text", id_col: str = "url",
-                 id_is_int: bool = False, analyzer: str = "standard"):
-        self.inner = PostingEmitter(text_col, id_col, id_is_int, analyzer)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.inner.text_col].to_pylist()
-        if self.inner.id_is_int:
-            docids = batch[self.inner.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        else:
-            docids = np.array(hash_ids(batch[self.inner.id_col].to_pylist()), dtype=np.int64)
-        dls = np.array([len(self.inner.analyze(t)) if t else 0 for t in texts], dtype=np.int32)
-        return pa.table({"docid": pa.array(docids), "dl": pa.array(dls)})

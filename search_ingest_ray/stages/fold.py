@@ -121,6 +121,29 @@ def partitioned_fold(ds, key_cols: list[str], order_cols: list[str],
     return tagged.groupby(_PART_COL).map_groups(folder, batch_format="pyarrow")
 
 
+def keys_with_sum(ds, key_col: str, value_col: str, total: int,
+                  num_partitions: int = 32):
+    """Dataset of the ``key_col`` values whose ``value_col`` sums to
+    ``total`` (a vote count).  Same shape as the fold: hash-partition on
+    the key, then one Arrow ``group_by`` per partition, in place of Ray
+    Data's hash ``Aggregate`` over the full key space (``incremental_near_dup``
+    at sf0.1: 2.7-3.1 s → 2.0-2.4 s)."""
+    tagged = ds.map_batches(
+        functools.partial(_tag_partition, key_cols=[key_col],
+                          num_partitions=num_partitions),
+        batch_format="pyarrow")
+
+    def combine(group: pa.Table) -> pa.Table:
+        g = (group.select([key_col, value_col])
+             .group_by(key_col, use_threads=False)
+             .aggregate([(value_col, "sum")]))
+        return g.filter(pc.equal(g[f"{value_col}_sum"], total)) \
+            .select([key_col])
+
+    return tagged.groupby(_PART_COL).map_groups(combine,
+                                                batch_format="pyarrow")
+
+
 def fold_last_write_wins(ds, id_col: str, order_cols: list[str],
                          action_col: str | None = None,
                          drop_order_cols: bool = False,

@@ -326,3 +326,144 @@ def test_ten_epoch_chain_matches_full_rebuild_then_compacts(
         d2, s2 = ref.search_terms(terms, k=25)
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_allclose(s1, s2, rtol=0, atol=0)
+
+
+def _counting(monkeypatch):
+    """Count what the driver starts: Ray Data executions (the perfbench
+    tracer's hook) and Ray task submissions."""
+    import ray.remote_function as rf
+    from ray.data._internal.execution import streaming_executor as se
+    counts = {"executions": 0, "tasks": 0}
+    execute, submit = se.StreamingExecutor.execute, rf.RemoteFunction._remote
+
+    def counting_execute(ex, *a, **k):
+        counts["executions"] += 1
+        return execute(ex, *a, **k)
+
+    def counting_submit(fn, *a, **k):
+        counts["tasks"] += 1
+        return submit(fn, *a, **k)
+    monkeypatch.setattr(se.StreamingExecutor, "execute", counting_execute)
+    monkeypatch.setattr(rf.RemoteFunction, "_remote", counting_submit)
+    return counts
+
+
+def test_delta_epoch_runs_no_ray_data_and_one_task_per_touched_bucket(
+        ray_session, base_dir, tmp_path, monkeypatch):
+    from search_ingest_ray.util import stable_partition_column
+    root = str(tmp_path / "idx_tasks")
+    apply_delta_epoch(root, None, 0,
+                      base_paths=[os.path.join(base_dir, "base.parquet")],
+                      **KW)
+    rows = [("u3", "tiny update", 1, "updated"),
+            ("u9", "", 1, "deleted"),
+            ("u500", "brand new w1", 1, "created")]
+    touched = set(stable_partition_column(
+        pa.array([r[0] for r in rows]), KW["num_buckets"]).tolist())
+    counts = _counting(monkeypatch)
+    m = apply_delta_epoch(root, _delta(tmp_path, "d1", rows), 1,
+                          mode="delta", **KW)
+    assert counts["executions"] == 0
+    assert 0 < counts["tasks"] <= len(touched) + 1
+    assert m["tasks"] == len(touched) + 1
+    assert set(m["stage_walls"]) == {"snapshot_s", "old_stats_s",
+                                     "segment_s"}
+    # a replayed (committed) epoch starts nothing
+    counts["tasks"] = 0
+    apply_delta_epoch(root, _delta(tmp_path, "d1", rows), 1, mode="delta",
+                      **KW)
+    assert counts == {"executions": 0, "tasks": 0}
+
+
+def _old_version_reference(root, epoch, delta_paths, analyzer, html):
+    """(sorted dead docids, n_old, Σ dl) of the previous versions of the
+    delta's ids, with dl = the analyzer's token count of each doc."""
+    from search_ingest_ray.analyzer import get_analyzer
+    from search_ingest_ray.corpus import extract_text
+    ids = set(pq.read_table(delta_paths, columns=["url"])["url"].to_pylist())
+    files = sorted(os.path.join(r, f)
+                   for r, _, fs in os.walk(snapshot_dir(root, epoch - 1))
+                   for f in fs if f.endswith(".parquet"))
+    prev = pa.concat_tables([pq.read_table(f) for f in files])
+    analyze = get_analyzer(analyzer)
+    dead, dl = [], 0
+    for row in prev.to_pylist():
+        if row["url"] not in ids:
+            continue
+        text = extract_text(row["html"]) if html else row["text"]
+        dead.append(doc_id_hash(row["url"]))
+        dl += len(analyze(text)) if text else 0
+    return sorted(dead), len(dead), dl
+
+
+@pytest.mark.parametrize("analyzer,html", [("simple", False),
+                                           ("standard", True)])
+def test_postings_doc_lengths_equal_analyzer_token_counts(
+        ray_session, tmp_path, analyzer, html):
+    """The bucket tasks take each old version's length from its emitted
+    postings (0 without postings); it must equal the analyzer's token
+    count, including non-ASCII and empty documents."""
+    from search_ingest_ray.corpus import generate_pages, wrap_html
+    from search_ingest_ray.util import read_json
+    base = generate_pages(60, seed=3)
+    texts = base["text"].to_pylist()
+    texts[4] = "Ünïcode façade İstanbul straße ÆØÅ naïve"
+    texts[7] = ""
+    texts[8] = "... --- !!!"
+    base = base.set_column(base.schema.get_field_index("text"), "text",
+                           pa.array(texts, pa.string()))
+    base = base.set_column(base.schema.get_field_index("html"), "html",
+                           pa.array([wrap_html(t) for t in texts],
+                                    pa.binary()))
+    urls = base["url"].to_pylist()
+    bp = str(tmp_path / "base.parquet")
+    pq.write_table(base, bp)
+    kw = dict(id_col="url", analyzer=analyzer, num_buckets=4,
+              html_col="html" if html else None)
+    root = str(tmp_path / "idx")
+    apply_delta_epoch(root, None, 0, base_paths=[bp], **kw)
+    changes = [
+        [urls[4], urls[7], urls[8], urls[10], "new-1"],
+        [urls[4], urls[20], urls[21], "new-1", urls[30]],
+    ]
+    for e, ids in enumerate(changes, start=1):
+        new = [f"Ëpoch {e} café text {i}" if i % 2 else "" for i in
+               range(len(ids))]
+        actions = ["updated"] * (len(ids) - 1) + ["deleted"]
+        dp = str(tmp_path / f"d{e}.parquet")
+        pq.write_table(pa.table({
+            "url": ids, "warc_ts": pa.array([base["warc_ts"][0]] * len(ids)),
+            "html": pa.array([wrap_html(t) for t in new], pa.binary()),
+            "text": new, "lang": ["en"] * len(ids),
+            "epoch": pa.array([e] * len(ids), pa.int64()),
+            "action": actions}), dp)
+        want = _old_version_reference(root, e, dp, analyzer, html)
+        apply_delta_epoch(root, [dp], e, mode="delta", **kw)
+        ed = os.path.join(root, "epochs", f"e{e:04d}")
+        meta = read_json(os.path.join(ed, "delta_meta.json"))
+        dead = np.load(os.path.join(ed, "dead_docids.npy")).tolist()
+        assert (dead, meta["n_old"], meta["sum_dl_old"]) == want
+
+
+def test_delta_over_the_task_bound_is_applied_as_full(
+        ray_session, base_dir, tmp_path, monkeypatch):
+    from search_ingest_ray.pipelines import epochs
+    root = str(tmp_path / "idx_big")
+    apply_delta_epoch(root, None, 0,
+                      base_paths=[os.path.join(base_dir, "base.parquet")],
+                      **KW)
+    monkeypatch.setattr(epochs, "_TASK_DELTA_BYTES", 1)
+    apply_delta_epoch(root, _delta(tmp_path, "d1", [
+        ("u3", "oversized alpha", 1, "updated"),
+        ("u5", "", 1, "deleted"),
+        ("u300", "oversized beta", 1, "created"),
+    ]), 1, mode="delta", **KW)
+    assert epoch_chain(root) == [(1, "full")]
+    ms = MultiEpochSearcher(root)
+    ref = _reference_searcher(root, tmp_path, "big")
+    assert ms.stats["n_docs"] == ref.stats["n_docs"] == N
+    for q in (["oversized"], ["w1", "w2"], ["alpha"]):
+        d1, sc1 = ms.search_terms(q, k=30)
+        d2, sc2 = ref.search_terms(q, k=30)
+        assert d1.tolist() == d2.tolist(), q
+        assert np.allclose(sc1, sc2), q
