@@ -175,6 +175,70 @@ def _fields_batch(batch: pa.Table, *, id_col: str, id_is_int: bool,
     return pa.table(cols)
 
 
+def index_meta(*, analyzer: str, text_col: str, id_col: str,
+               id_is_int: bool, k1: float, b: float, with_positions: bool,
+               store_fields: list[str], table_config=None,
+               input_schema: pa.Schema | None = None) -> dict:
+    """The ``index_meta.json`` record every epoch of an index must share."""
+    meta = {
+        "analyzer": analyzer, "extractor": EXTRACTOR_VERSION,
+        "text_col": text_col, "id_col": id_col, "id_is_int": id_is_int,
+        "k1": k1, "b": b, "format": "v2-termdict-bin",
+        "with_positions": with_positions,
+        "store_fields": sorted(store_fields),
+    }
+    if table_config is not None and input_schema is not None:
+        # mapping generated from the input Parquet schema + declarative
+        # config — the analog of Schemas#index_mappings (schemas.cr:50-83)
+        from ..schemas import index_schema
+        meta["mapping"] = index_schema(input_schema, table_config)
+    return meta
+
+
+def index_meta_matches(index_root: str, meta: dict) -> bool:
+    """True unless ``index_meta.json`` records a different spec.  The
+    comparison is order-insensitive (T6): an equivalent-but-reordered
+    mapping (e.g. join relations scalar vs single-element array) matches;
+    only a REAL spec change does not."""
+    path = os.path.join(index_root, "index_meta.json")
+    return not os.path.exists(path) or equivalent_schema(read_json(path),
+                                                         meta)
+
+
+def _write_fields_meta(fields_dir: str, field_shards: int) -> None:
+    """Self-describing shard layout of the docvalues sidecar, so FieldStore
+    maps candidate docids -> shards without out-of-band config."""
+    os.makedirs(fields_dir, exist_ok=True)
+    atomic_write_json(os.path.join(fields_dir, "meta.json"),
+                      {"field_shards": int(field_shards)})
+
+
+def _chunk_record(files: list[str], *, rows: int, tokens: int,
+                  fingerprint: str | None, wall_s: float, **extra) -> dict:
+    """A done stage-1 chunk's manifest entry (its lineage)."""
+    return {"files": files, "rows": int(rows), "tokens": int(tokens),
+            "status": "done", "fingerprint": fingerprint,
+            "wall_s": round(wall_s, 3), **extra}
+
+
+def _segment_records(summaries, tparts) -> dict:
+    """Manifest ``segments`` entries: one per built term partition, and an
+    empty done entry for every other partition of ``tparts`` — a
+    partition that received no postings (possible in ray-shuffle mode,
+    which emits no group for it) still completes, so resume does not
+    re-run the exchange to build nothing."""
+    recs = {str(p): {"status": "done", "n_terms": 0, "n_postings": 0,
+                     "bytes": 0, "wall_s": 0.0} for p in tparts}
+    for s in summaries:
+        recs[str(int(s["tpart"]))] = {
+            "status": "done", "n_terms": int(s["n_terms"]),
+            "n_postings": int(s["n_postings"]), "bytes": int(s.get("bytes", 0)),
+            "wall_s": round(float(s.get("wall_s", 0.0)), 3),
+            "read_s": round(float(s.get("read_s", 0.0) or 0.0), 3),
+        }
+    return recs
+
+
 # ---------------------------------------------------------------------------
 # stage-2 helpers
 
@@ -958,43 +1022,26 @@ def build_index(input_paths, index_root: str, *,
     store_fields = sorted(store_fields) if store_fields else []
 
     # --- index meta / consistency check (G4/G5 analog) ---------------------
-    meta_path = os.path.join(index_root, "index_meta.json")
-    meta = {
-        "analyzer": analyzer, "extractor": EXTRACTOR_VERSION,
-        "text_col": text_col, "id_col": id_col, "id_is_int": id_is_int,
-        "k1": k1, "b": b, "format": "v2-termdict-bin",
-        "with_positions": with_positions,
-        "store_fields": store_fields,
-    }
-    if table_config is not None and input_paths:
-        # mapping generated from the input Parquet schema + declarative
-        # config — the analog of Schemas#index_mappings (schemas.cr:50-83)
-        from ..schemas import index_schema
-        input_schema = pq.read_schema(input_paths[0])
-        meta["mapping"] = index_schema(input_schema, table_config)
-    if os.path.exists(meta_path):
-        existing = read_json(meta_path)
-        # order-insensitive comparison (T6): an equivalent-but-reordered
-        # mapping (e.g. join relations scalar vs single-element array)
-        # resumes; only a REAL spec change forces the rebuild
-        if not equivalent_schema(existing, meta):
-            # mapping changed → reindex semantics: epoch data invalid
-            # (delete_index + create_index, /root/reference/src/search-ingest/table.cr:61-76)
-            log.warning("index meta changed; dropping epoch data for rebuild")
-            import shutil
-            shutil.rmtree(ed, ignore_errors=True)
-            os.makedirs(postings_dir, exist_ok=True)
-            os.makedirs(segments_dir, exist_ok=True)
-    atomic_write_json(meta_path, meta)
+    meta = index_meta(
+        analyzer=analyzer, text_col=text_col, id_col=id_col,
+        id_is_int=id_is_int, k1=k1, b=b, with_positions=with_positions,
+        store_fields=store_fields, table_config=table_config,
+        input_schema=(pq.read_schema(input_paths[0])
+                      if table_config is not None and input_paths else None))
+    if not index_meta_matches(index_root, meta):
+        # mapping changed → reindex semantics: epoch data invalid
+        # (delete_index + create_index, /root/reference/src/search-ingest/table.cr:61-76)
+        log.warning("index meta changed; dropping epoch data for rebuild")
+        import shutil
+        shutil.rmtree(ed, ignore_errors=True)
+        os.makedirs(postings_dir, exist_ok=True)
+        os.makedirs(segments_dir, exist_ok=True)
+    atomic_write_json(os.path.join(index_root, "index_meta.json"), meta)
     if store_fields:
-        # self-describing shard layout so FieldStore can map candidate
-        # docids -> shards without out-of-band config.  Written AFTER the
-        # meta consistency check: a spec change rmtree's the epoch dir, and
-        # a sharded sidecar without meta.json would silently degrade the
-        # reader to legacy load-all mode
-        os.makedirs(fields_dir, exist_ok=True)
-        atomic_write_json(os.path.join(fields_dir, "meta.json"),
-                          {"field_shards": int(field_shards)})
+        # written AFTER the meta consistency check: a spec change rmtree's
+        # the epoch dir, and a sharded sidecar without meta.json would
+        # silently degrade the reader to legacy load-all mode
+        _write_fields_meta(fields_dir, field_shards)
 
     manifest = read_json(manifest_path) if (resume and os.path.exists(manifest_path)) else {
         "epoch": epoch, "chunks": {}, "segments": {}, "stats": None,
@@ -1075,9 +1122,8 @@ def build_index(input_paths, index_root: str, *,
                     continue
         chunks_changed = True
         if not files:  # empty bucket holds its chunk slot
-            manifest["chunks"][cid] = {"files": [], "rows": 0, "tokens": 0,
-                                       "status": "done", "fingerprint": fp,
-                                       "wall_s": 0.0}
+            manifest["chunks"][cid] = _chunk_record(
+                [], rows=0, tokens=0, fingerprint=fp, wall_s=0.0)
             atomic_write_json(manifest_path, manifest)
             continue
         t0 = time.monotonic()
@@ -1139,12 +1185,9 @@ def build_index(input_paths, index_root: str, *,
             ray_stats = ds.stats()[:1500]
         except Exception:  # noqa: BLE001 — stats are best-effort
             ray_stats = ""
-        manifest["chunks"][cid] = {
-            "files": files, "rows": int(n_rows), "tokens": chunk_tokens,
-            "status": "done", "fingerprint": fp,
-            "wall_s": round(time.monotonic() - t0, 3),
-            "ray_stats": ray_stats,
-        }
+        manifest["chunks"][cid] = _chunk_record(
+            files, rows=n_rows, tokens=chunk_tokens, fingerprint=fp,
+            wall_s=time.monotonic() - t0, ray_stats=ray_stats)
         atomic_write_json(manifest_path, manifest)
 
     n_docs = sum(c["rows"] for c in manifest["chunks"].values())
@@ -1424,22 +1467,8 @@ def build_index(input_paths, index_root: str, *,
             num_cpus=builder_cpus).take_all()
     else:
         summaries = []
-    for s in summaries:
-        manifest["segments"][str(int(s["tpart"]))] = {
-            "status": "done", "n_terms": int(s["n_terms"]),
-            "n_postings": int(s["n_postings"]), "bytes": int(s.get("bytes", 0)),
-            "wall_s": round(float(s.get("wall_s", 0.0)), 3),
-            "read_s": round(float(s.get("read_s", 0.0) or 0.0), 3),
-        }
-    if n_postings:
-        # partitions that received zero postings (possible in ray-shuffle
-        # mode, which emits no group for them) still complete: mark them
-        # done so resume doesn't re-run the exchange to build nothing
-        for p in pending_tparts:
-            manifest["segments"].setdefault(str(p), {
-                "status": "done", "n_terms": 0, "n_postings": 0,
-                "bytes": 0, "wall_s": 0.0,
-            })
+    manifest["segments"].update(_segment_records(
+        summaries, pending_tparts if n_postings else []))
 
     _t_build_done = time.monotonic()
     manifest["exchange"] = {
@@ -1462,6 +1491,73 @@ def build_index(input_paths, index_root: str, *,
                         analyzer=analyzer, num_term_partitions=P,
                         hot_salt=hot_salt, hot_df_threshold=hot_df_threshold,
                         hot_terms=hot_df)
+
+
+def build_table_index(table: pa.Table, ed: str, *, files: list[str],
+                      id_col: str, text_col: str, html_col: str | None,
+                      id_is_int: bool, analyzer: str,
+                      k1: float = K1_DEFAULT, b: float = B_DEFAULT,
+                      with_positions: bool = False,
+                      store_fields: list[str] | None = None,
+                      field_shards: int = 16,
+                      num_term_partitions: int | None = None) -> dict:
+    """Index one in-memory table as an epoch's only chunk, in this process
+    and without Ray Data — for a table small enough for one task (a delta
+    epoch's surviving rows).  Writes the layout ``build_index`` writes:
+    postings from the same emitter, term partitions without hot terms
+    (``num_term_partitions`` defaults to 1), one ``build_segment_group``
+    per partition and the docvalues sidecar; stage-1 postings are not
+    kept.  Every file is written tmp + rename, so a rerun is idempotent.
+    Returns the manifest parts (``chunks``, ``segments``) and the corpus
+    stats for :func:`commit_epoch`."""
+    t0 = time.monotonic()
+    src = extract_batch(table.select([id_col, html_col])) if html_col \
+        else table.select([id_col, text_col])
+    posts = _emit(src, text_col=text_col, id_col=id_col, id_is_int=id_is_int,
+                  analyzer=analyzer, with_positions=with_positions)
+    n_docs, n_postings = table.num_rows, posts.num_rows
+    total_tokens = int(pc.sum(posts["tf"]).as_py() or 0)
+    P = int(num_term_partitions or 1)
+    segments_dir = os.path.join(ed, "segments")
+    import shutil
+    shutil.rmtree(segments_dir, ignore_errors=True)
+    os.makedirs(segments_dir)
+    summaries = []
+    if n_postings:
+        params = BM25Params(k1=k1, b=b, n_docs=n_docs,
+                            avgdl=total_tokens / n_docs)
+        parts = _assign_tpart(posts, num_partitions=P, hot_salt=1,
+                              hot_ref=None)
+        parts = parts.take(pc.sort_indices(parts, [("tpart", "ascending")]))
+        summaries = _build_segments_block(
+            parts, segments_dir=segments_dir, params=params,
+            hot_df={}).to_pylist()
+    fields_dir = os.path.join(ed, "fields")
+    shutil.rmtree(fields_dir, ignore_errors=True)
+    if store_fields:
+        store_fields = sorted(store_fields)
+        _write_fields_meta(fields_dir, field_shards)
+        fields = _fields_batch(
+            table.select(list(dict.fromkeys([id_col] + store_fields))),
+            id_col=id_col, id_is_int=id_is_int, store_fields=store_fields,
+            field_shards=field_shards)
+        shard = fields["fshard"].to_numpy()
+        fields = fields.drop_columns(["fshard"])
+        for s in np.unique(shard):
+            path = os.path.join(fields_dir, "chunk=00000", f"fshard={s}",
+                                "part-0.parquet")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            pq.write_table(fields.filter(pa.array(shard == s)), path + ".tmp")
+            os.replace(path + ".tmp", path)
+    wall = time.monotonic() - t0
+    return {"chunks": {"00000": _chunk_record(
+                files, rows=n_docs, tokens=total_tokens, fingerprint=None,
+                wall_s=wall)},
+            "segments": _segment_records(summaries,
+                                         range(P) if n_postings else []),
+            "n_docs": n_docs, "n_postings": n_postings,
+            "total_tokens": total_tokens, "num_term_partitions": P,
+            "wall_s": wall}
 
 
 def commit_epoch(ed: str, manifest: dict, *, n_docs: int, n_postings: int,

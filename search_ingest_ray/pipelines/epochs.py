@@ -4,14 +4,16 @@ changefeed-driven sync (/root/reference/src/search-ingest/table.cr:25-46).
 Model: the live table is a sequence of epoch snapshots kept in a
 HASH-BUCKETED layout (``snapshots/eNNNN/__bucket=B/``).  Applying a delta:
 
-1. the driver reads the delta (small by construction: a delta whose
-   Parquet footer reports more than ``_TASK_DELTA_BYTES`` is applied as a
-   full rewrite, like a backfill) and splits it by ``hash(id) % NB``;
+1. the driver reads the delta (a delta whose Parquet footer reports more
+   than ``_TASK_DELTA_BYTES`` is applied as a full rewrite, like a
+   backfill) and splits it by ``hash(id) % NB``;
 2. one plain Ray task per TOUCHED bucket reads the previous snapshot's
    bucket once, folds it with the bucket's delta rows (last-write-wins +
    tombstones, ``stages.fold._fold_partition``) and writes it back
    (tmp + rename); every untouched bucket's files are hard-linked from the
-   previous snapshot (content-identical, zero IO).
+   previous snapshot (content-identical, zero IO).  A bucket task holds
+   its whole bucket in memory, so its memory grows with the snapshot /
+   ``num_buckets``, not with the delta.
 
 Two index-maintenance modes per epoch:
 
@@ -61,20 +63,28 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..index.build import (_assign_tpart, _build_segments_block, _emit,
-                           _fields_batch, build_index, commit_epoch,
-                           epoch_dir)
-from ..query.bm25 import B_DEFAULT, K1_DEFAULT, BM25Params
+from ..index.build import (_emit, build_index, build_table_index,
+                           commit_epoch, epoch_dir, index_meta,
+                           index_meta_matches)
+from ..query.bm25 import B_DEFAULT, K1_DEFAULT
 from ..stages.analyze import extract_batch
-from ..stages.fold import _PART_COL, _fold_partition, apply_epoch
+from ..stages.fold import _PART_COL, _fold_partition, apply_epoch, tag_base
 from ..util import (atomic_write_json, chaos_kill_once, hash_ids, read_json,
                     stable_partition_column)
 
 _BUCKET_COL = "__bucket"
 
 # Largest delta (uncompressed bytes, from its Parquet footer) that the
-# driver reads whole and hands to per-bucket tasks; a larger one is folded
-# into a full snapshot rewrite by Ray Data, as a backfill is.
+# driver reads whole and hands to the epoch's tasks; a larger one is
+# folded into a full snapshot rewrite by Ray Data, as a backfill is.  64 MB
+# is the input block one stage-1 task of build_index reads.  The bound
+# caps only the delta-proportional memory: measured in-process on a
+# 1-core host (300-word synthetic docs, "standard", every delta row an
+# update), the segment task peaks at ~15 MB RSS per footer MB of delta
+# (~1 GB at the bound) and a bucket task at ~13 MB per MB of its delta
+# share PLUS ~6 MB per MB of the previous bucket, which it reads whole —
+# per-task memory grows with bucket size, and nothing here limits that
+# (LSM snapshot runs would).
 _TASK_DELTA_BYTES = 64 << 20
 
 
@@ -137,13 +147,7 @@ def _fold_rows(base: pa.Table | None, delta: pa.Table,
     rows, the fold keeps each id's latest row and drops tombstoned ids;
     the result has the base's columns (the delta's without a base)."""
     if base is not None:
-        n = base.num_rows
-        if "epoch" not in base.column_names:
-            base = base.append_column(
-                "epoch", pa.array(np.full(n, -1, np.int64)))
-        if "action" not in base.column_names:
-            base = base.append_column(
-                "action", pa.array(["created"] * n, pa.string()))
+        base = tag_base(base)
         delta = pa.concat_tables(
             [base, delta.select(base.column_names).cast(base.schema)])
     delta = delta.append_column(
@@ -152,6 +156,15 @@ def _fold_rows(base: pa.Table | None, delta: pa.Table,
                           keep="last", action_col="action")
     return out.drop_columns([c for c in ("epoch", "action")
                              if c in out.column_names])
+
+
+def _live_schema(delta_schema: pa.Schema) -> pa.Schema:
+    """A delta's schema without the fold's order and action columns: the
+    schema of the rows it leaves in the snapshot."""
+    for c in ("epoch", "action"):
+        if c in delta_schema.names:
+            delta_schema = delta_schema.remove(delta_schema.get_field_index(c))
+    return delta_schema
 
 
 def _docids(t: pa.Table, id_col: str, id_is_int: bool) -> np.ndarray:
@@ -434,78 +447,69 @@ def _prev_cum_stats(index_root: str, epoch: int) -> dict:
             "k1": st["k1"], "b": st["b"]}
 
 
+# ``build_index`` options in a delta epoch: its one-task segment honours
+# _SEGMENT_OPTIONS; ``table_config`` enters only the index-meta check;
+# the options of the Ray Data build do not apply to one task and are
+# ignored (a delta epoch always resumes from its commit markers, so
+# ``resume`` too).  Any other option raises TypeError, as build_index does.
+_SEGMENT_OPTIONS = frozenset({"k1", "b", "with_positions", "store_fields",
+                              "field_shards", "num_term_partitions"})
+_DELTA_IGNORED = frozenset({"table_config", "chunk_files", "batch_size",
+                            "hot_df_threshold", "hot_salt",
+                            "hot_candidate_cap", "shuffle", "exchange_dir",
+                            "resume"})
+
+
+def _segment_options(index_root: str, epoch: int, files: list[str], *,
+                     id_col, text_col, id_is_int, analyzer,
+                     build_kwargs: dict) -> dict:
+    """Check a delta epoch's build options and return those its segment
+    honours.  The chain's epochs must share one ``index_meta.json`` spec
+    (the multi-searcher merges their postings and stats as one index), so
+    a delta with other analysis settings is refused."""
+    unknown = set(build_kwargs) - _SEGMENT_OPTIONS - _DELTA_IGNORED
+    if unknown:
+        raise TypeError(f"unexpected build options for a delta epoch: "
+                        f"{sorted(unknown)}")
+    opts = {k: v for k, v in build_kwargs.items() if k in _SEGMENT_OPTIONS}
+    table_config = build_kwargs.get("table_config")
+    meta = index_meta(
+        analyzer=analyzer, text_col=text_col, id_col=id_col,
+        id_is_int=id_is_int, k1=opts.get("k1", K1_DEFAULT),
+        b=opts.get("b", B_DEFAULT),
+        with_positions=opts.get("with_positions", False),
+        store_fields=opts.get("store_fields") or [],
+        table_config=table_config,
+        input_schema=(_live_schema(pq.read_schema(files[0]))
+                      if table_config is not None and files else None))
+    if not index_meta_matches(index_root, meta):
+        raise ValueError(
+            f"delta epoch {epoch}: its analysis settings differ from the "
+            f"chain's index_meta.json; rebuild the chain (mode='full' from "
+            f"a backfill) to change them")
+    return opts
+
+
 @ray.remote(max_retries=3)
-def _delta_segment(delta_files: list[str], ed: str, *, id_col, text_col,
-                   html_col, id_is_int, analyzer, k1=K1_DEFAULT,
-                   b=B_DEFAULT, with_positions=False, store_fields=None,
-                   field_shards=16, num_term_partitions=None,
-                   **_stage2_kwargs) -> dict:
-    """The epoch's own index over the delta's surviving rows, in one task:
-    postings (``build._emit``), term partitions without hot terms, one
-    ``build_segment_group`` per partition and the docvalues sidecar.  The
-    stage-2 exchange options of ``build_index`` do not apply.  Every file
-    is written tmp + rename, so a retried task is idempotent.  Returns
-    the manifest parts the driver commits."""
-    t0 = time.monotonic()
+def _delta_segment(delta_files: list[str], ed: str, *, id_col: str,
+                   **build) -> dict:
+    """The epoch's own index over the delta's surviving rows, in one task
+    (``build.build_table_index``)."""
     live = _fold_rows(None, _read_tables(delta_files), id_col)
-    src = extract_batch(live.select([id_col, html_col])) if html_col \
-        else live.select([id_col, text_col])
-    posts = _emit(src, text_col=text_col, id_col=id_col, id_is_int=id_is_int,
-                  analyzer=analyzer, with_positions=with_positions)
-    n_docs, n_postings = live.num_rows, posts.num_rows
-    total_tokens = int(pc.sum(posts["tf"]).as_py() or 0)
-    P = int(num_term_partitions or 1)
-    segments_dir = os.path.join(ed, "segments")
-    shutil.rmtree(segments_dir, ignore_errors=True)
-    os.makedirs(segments_dir)
-    segments = {}
-    if n_postings:
-        params = BM25Params(k1=k1, b=b, n_docs=n_docs,
-                            avgdl=total_tokens / n_docs)
-        parts = _assign_tpart(posts, num_partitions=P, hot_salt=1,
-                              hot_ref=None)
-        parts = parts.take(pc.sort_indices(parts, [("tpart", "ascending")]))
-        summary = _build_segments_block(parts, segments_dir=segments_dir,
-                                        params=params, hot_df={})
-        segments = {str(p): {"status": "done", "n_terms": 0, "n_postings": 0,
-                             "bytes": 0, "wall_s": 0.0} for p in range(P)}
-        for r in summary.to_pylist():
-            segments[str(r["tpart"])] = {
-                "status": "done", "n_terms": r["n_terms"],
-                "n_postings": r["n_postings"], "bytes": r["bytes"],
-                "wall_s": round(r["wall_s"], 3), "read_s": 0.0}
-    fields_dir = os.path.join(ed, "fields")
-    shutil.rmtree(fields_dir, ignore_errors=True)
-    if store_fields:
-        store_fields = sorted(store_fields)
-        os.makedirs(fields_dir)
-        atomic_write_json(os.path.join(fields_dir, "meta.json"),
-                          {"field_shards": int(field_shards)})
-        fields = _fields_batch(
-            live.select(list(dict.fromkeys([id_col] + store_fields))),
-            id_col=id_col, id_is_int=id_is_int, store_fields=store_fields,
-            field_shards=field_shards)
-        shard = fields["fshard"].to_numpy()
-        fields = fields.drop_columns(["fshard"])
-        for s in np.unique(shard):
-            _write_parquet(fields.filter(pa.array(shard == s)), os.path.join(
-                fields_dir, "chunk=00000", f"fshard={s}", "part-0.parquet"))
-    wall = time.monotonic() - t0
-    return {"n_docs": n_docs, "n_postings": n_postings,
-            "total_tokens": total_tokens, "num_term_partitions": P,
-            "segments": segments, "segment_s": wall,
-            "chunk": {"files": delta_files, "rows": n_docs,
-                      "tokens": total_tokens, "status": "done",
-                      "fingerprint": None, "wall_s": round(wall, 3)}}
+    return build_table_index(live, ed, files=delta_files, id_col=id_col,
+                             **build)
 
 
 def _apply_delta_segments(index_root: str, delta_paths, epoch: int, *,
                           id_col, text_col, html_col, id_is_int, analyzer,
                           num_buckets, **build_kwargs) -> dict:
+    files = _delta_files(delta_paths)
+    seg_opts = _segment_options(index_root, epoch, files, id_col=id_col,
+                                text_col=text_col, id_is_int=id_is_int,
+                                analyzer=analyzer, build_kwargs=build_kwargs)
     ed = epoch_dir(index_root, epoch)
     os.makedirs(ed, exist_ok=True)
     manifest_path = os.path.join(ed, "manifest.json")
-    files = _delta_files(delta_paths)
     analysis = dict(text_col=text_col, html_col=html_col,
                     id_is_int=id_is_int, analyzer=analyzer)
     manifest = read_json(manifest_path) if os.path.exists(manifest_path) \
@@ -515,7 +519,7 @@ def _apply_delta_segments(index_root: str, delta_paths, epoch: int, *,
     # beside the bucket tasks
     seg_ref = None if manifest.get("status") == "done" else \
         _delta_segment.remote(files, ed, id_col=id_col, **analysis,
-                              **build_kwargs)
+                              **seg_opts)
     _update_snapshot(index_root, files, epoch, id_col=id_col,
                      num_buckets=num_buckets, dead_set=analysis)
     snapshot_s = time.monotonic() - t0
@@ -524,18 +528,18 @@ def _apply_delta_segments(index_root: str, delta_paths, epoch: int, *,
     if seg_ref is not None:
         seg = ray.get(seg_ref)
         manifest = {
-            "epoch": epoch, "chunks": {"00000": seg["chunk"]},
+            "epoch": epoch, "chunks": seg["chunks"],
             "segments": seg["segments"],
             "stage_walls": {"snapshot_s": round(snapshot_s, 3),
                             "old_stats_s": dmeta["old_stats_s"],
-                            "segment_s": round(seg["segment_s"], 3)},
+                            "segment_s": round(seg["wall_s"], 3)},
             "tasks": dmeta["tasks"] + 1,
         }
         commit_epoch(ed, manifest, n_docs=seg["n_docs"],
                      n_postings=seg["n_postings"],
                      total_tokens=seg["total_tokens"],
-                     k1=build_kwargs.get("k1", K1_DEFAULT),
-                     b=build_kwargs.get("b", B_DEFAULT), analyzer=analyzer,
+                     k1=seg_opts.get("k1", K1_DEFAULT),
+                     b=seg_opts.get("b", B_DEFAULT), analyzer=analyzer,
                      num_term_partitions=seg["num_term_partitions"],
                      hot_salt=1, hot_df_threshold=0, hot_terms={})
     ep_stats = manifest["stats"]

@@ -121,8 +121,7 @@ def partitioned_fold(ds, key_cols: list[str], order_cols: list[str],
     return tagged.groupby(_PART_COL).map_groups(folder, batch_format="pyarrow")
 
 
-def keys_with_sum(ds, key_col: str, value_col: str, total: int,
-                  num_partitions: int = 32):
+def keys_with_sum(ds, key_col: str, value_col: str, total: int):
     """Dataset of the ``key_col`` values whose ``value_col`` sums to
     ``total`` (a vote count).  Same shape as the fold: hash-partition on
     the key, then one Arrow ``group_by`` per partition, in place of Ray
@@ -130,7 +129,7 @@ def keys_with_sum(ds, key_col: str, value_col: str, total: int,
     at sf0.1: 2.7-3.1 s → 2.0-2.4 s)."""
     tagged = ds.map_batches(
         functools.partial(_tag_partition, key_cols=[key_col],
-                          num_partitions=num_partitions),
+                          num_partitions=32),
         batch_format="pyarrow")
 
     def combine(group: pa.Table) -> pa.Table:
@@ -250,6 +249,19 @@ def fold_changed_fields(ds, id_col: str, order_cols: list[str],
     return tagged.groupby(_PART_COL).map_groups(merger, batch_format="pyarrow")
 
 
+def tag_base(batch: pa.Table, *, epoch_col: str = "epoch",
+             action_col: str = "action") -> pa.Table:
+    """Give snapshot (base) rows the delta's order and action columns:
+    epoch -1, ``created`` — so any delta row of the same id wins the
+    fold."""
+    n = batch.num_rows
+    if epoch_col not in batch.column_names:
+        batch = batch.append_column(epoch_col, pa.array([-1] * n, pa.int64()))
+    if action_col not in batch.column_names:
+        batch = batch.append_column(action_col, pa.array(["created"] * n, pa.string()))
+    return batch
+
+
 def apply_epoch(base_ds, delta_ds, id_col: str, epoch_col: str = "epoch",
                 action_col: str = "action"):
     """Apply one epoch of deltas onto a base snapshot: union then fold.
@@ -259,15 +271,9 @@ def apply_epoch(base_ds, delta_ds, id_col: str, epoch_col: str = "epoch",
     behavior: process_resource created/updated/deleted dispatch
     (/root/reference/src/search-ingest/table.cr:25-46).
     """
-    def tag_base(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if epoch_col not in batch.column_names:
-            batch = batch.append_column(epoch_col, pa.array([-1] * n, pa.int64()))
-        if action_col not in batch.column_names:
-            batch = batch.append_column(action_col, pa.array(["created"] * n, pa.string()))
-        return batch
-
-    base = base_ds.map_batches(tag_base, batch_format="pyarrow")
+    base = base_ds.map_batches(
+        tag_base, batch_format="pyarrow",
+        fn_kwargs=dict(epoch_col=epoch_col, action_col=action_col))
     cols = base.schema().names
     merged = base.union(delta_ds.select_columns(cols))
     return fold_last_write_wins(merged, id_col, [epoch_col], action_col)

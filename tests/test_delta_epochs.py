@@ -467,3 +467,29 @@ def test_delta_over_the_task_bound_is_applied_as_full(
         d2, sc2 = ref.search_terms(q, k=30)
         assert d1.tolist() == d2.tolist(), q
         assert np.allclose(sc1, sc2), q
+
+
+def test_delta_epoch_checks_its_build_options(ray_session, base_dir,
+                                              tmp_path):
+    """A delta epoch ignores only the named Ray Data build options: a
+    misspelt option raises TypeError, as build_index does, and analysis
+    settings that differ from the chain's index_meta.json raise ValueError
+    before anything is written."""
+    root = str(tmp_path / "idx_opts")
+    apply_delta_epoch(root, None, 0,
+                      base_paths=[os.path.join(base_dir, "base.parquet")],
+                      **KW)
+    d1 = _delta(tmp_path, "d1", [("u3", "opts alpha", 1, "updated")])
+    with pytest.raises(TypeError, match="num_term_partition"):
+        apply_delta_epoch(root, d1, 1, mode="delta",
+                          **{**KW, "num_term_partition": 2})
+    with pytest.raises(ValueError, match="index_meta"):
+        apply_delta_epoch(root, d1, 1, mode="delta",
+                          **{**KW, "store_fields": ["text"]})
+    assert not os.path.exists(os.path.join(root, "epochs", "e0001"))
+    assert not os.path.exists(snapshot_dir(root, 1))
+    # the Ray Data build's own options are accepted and ignored
+    m = apply_delta_epoch(root, d1, 1, mode="delta",
+                          **{**KW, "shuffle": "ray", "chunk_files": 2})
+    assert m["status"] == "done" and m["stats"]["n_docs"] == 1
+    assert epoch_chain(root) == [(0, "full"), (1, "delta")]
