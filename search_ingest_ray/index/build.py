@@ -4,13 +4,18 @@ Ray-Data-first restatement of the reference's backfill lifecycle
 (/root/reference/src/search-ingest/table.cr:80-176) with the ES-side index
 construction implemented natively:
 
-  stage 1  (per resumable chunk of input files — the analog of the
-           reference's batched full-table scan, table.cr:100):
-           read_parquet → [extract html→text (E1)] → map_batches posting
-           emission (E2+E4) → write postings/chunk=N/ Parquet
-  stage 1.5 corpus stats (E6): N from input metadata, total tokens via a
-           columnar Sum over the postings — no extra tokenize pass
-  stage 2  (term shuffle, E5+E7+E12): df partial-aggregate → hot-term set →
+  stage 1  (every pending chunk of input files in ONE Ray Data execution —
+           the analog of the reference's batched full-table scan,
+           table.cr:100): read_parquet(include_paths) → one map_batches
+           task per input block that runs [extract html→text (E1)] →
+           posting emission (E2+E4) and writes each chunk's
+           postings/chunk=N/ and fields/chunk=N/ Parquet; the driver
+           commits a chunk's record once all its rows are accounted for,
+           so resume stays per chunk
+  stage 1.5 corpus stats (E6): N from input metadata, total tokens summed
+           from stage 1's per-chunk result rows — no read-back
+  stage 2  (term shuffle, E5+E7+E12): hot-term candidates from a sample
+           (skipped when no term can reach the threshold) →
            assign term partitions (hot terms salted across partitions) →
            groupby(tpart).map_groups building delta+varint posting lists with
            block-max metadata → one atomically-written segment file per
@@ -97,37 +102,81 @@ def _emit(batch: pa.Table, *, text_col, id_col, id_is_int, analyzer,
     return em(batch)
 
 
-def _sum_int_column(out_dir: str, col: str,
-                    ray_threshold_bytes: int = 256 << 20) -> int:
-    """Σ of one int column over a chunk's parquet output.
+def _write_parquet(t: pa.Table, path: str) -> None:
+    """Write ``t`` to ``path`` via tmp + rename: a retried task replaces
+    its own file, and a reader never sees a partial one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
 
-    A Ray aggregate job costs ~2 s of fixed launch/drain overhead per
-    call — per CHUNK, so it's pure serial time on the build's critical
-    path.  The column's compressed footprint is known from the footers,
-    so small columns (the common case: tf of one chunk is a few MB) are
-    summed with a driver-side pyarrow read (~0.1 s), and only columns
-    over ``ray_threshold_bytes`` go through a distributed Ray job — the
-    driver never materializes an unbounded column at 100-TB scale."""
-    files = sorted(
-        os.path.join(r, f) for r, _, fs in os.walk(out_dir)
-        for f in fs if f.endswith(".parquet"))
-    if not files:
-        return 0
-    import pyarrow.parquet as pq
-    nbytes = 0
-    for f in files:
-        md = pq.read_metadata(f)
-        ci = md.schema.to_arrow_schema().get_field_index(col)
-        for rg in range(md.num_row_groups):
-            nbytes += md.row_group(rg).column(ci).total_compressed_size
-    if nbytes > ray_threshold_bytes:
-        import ray.data as rd
-        return int(rd.read_parquet(files, columns=[col]).sum(col) or 0)
-    tot = 0
-    for f in files:
-        v = pc.sum(pq.read_table(f, columns=[col])[col]).as_py()
-        tot += int(v or 0)
-    return tot
+
+def _write_fields(batch: pa.Table, out_dir: str, name: str, *, id_col: str,
+                  id_is_int: bool, store_fields: list[str],
+                  field_shards: int) -> None:
+    """Write ``batch``'s docvalues rows as ``out_dir/fshard=S/name``, one
+    file per docid-range shard (the shard is the directory, not a
+    column)."""
+    fields = _fields_batch(batch.select(list(dict.fromkeys(
+        [id_col] + store_fields))), id_col=id_col, id_is_int=id_is_int,
+        store_fields=store_fields, field_shards=field_shards)
+    shard = fields["fshard"].to_numpy()
+    fields = fields.drop_columns(["fshard"])
+    for s in np.unique(shard):
+        _write_parquet(fields.filter(pa.array(shard == s)),
+                       os.path.join(out_dir, f"fshard={s}", name))
+
+
+def _stage1_batch(batch: pa.Table, *, chunk_of: dict, postings_dir: str,
+                  fields_dir: str, text_col: str, id_col: str,
+                  id_is_int: bool, html_col: str | None, analyzer: str,
+                  with_positions: bool, store_fields: list[str],
+                  field_shards: int, slice_rows: int) -> pa.Table:
+    """Stage 1 for one input batch of any number of chunks: for each chunk
+    it holds (``chunk_of`` maps the ``path`` column to a chunk id), write
+    that chunk's postings (``postings/chunk=N/``) and docvalues
+    (``fields/chunk=N/fshard=S/``) and return one ``(chunk, rows, tokens)``
+    row.  Tokenizing runs ``slice_rows`` rows at a time.  File names hash
+    the chunk id, paths and id column, so a retried task rewrites the same
+    files instead of adding copies."""
+    import hashlib
+    paths = batch["path"].combine_chunks()
+    codes = pc.dictionary_encode(paths)
+    cids = [chunk_of[p] for p in codes.dictionary.to_pylist()]
+    row_cid = np.asarray(cids, dtype=object)[codes.indices.to_numpy()]
+    text_src = [id_col, html_col or text_col]
+    out_c, out_r, out_t = [], [], []
+    for cid in sorted(set(cids)):
+        rows = batch.filter(pa.array(row_cid == cid))
+        h = hashlib.sha1(cid.encode())
+        h.update("\0".join(sorted(set(rows["path"].to_pylist()))).encode())
+        h.update("\0".join(map(str, rows[id_col].to_pylist())).encode())
+        name = h.hexdigest()[:20] + ".parquet"
+        pieces = []
+        for off in range(0, rows.num_rows, slice_rows):
+            src = rows.slice(off, slice_rows).select(text_src)
+            if html_col:
+                src = extract_batch(src)
+            pieces.append(_emit(src, text_col=text_col, id_col=id_col,
+                                id_is_int=id_is_int, analyzer=analyzer,
+                                with_positions=with_positions))
+        posts = pa.concat_tables(pieces)
+        if posts.num_rows:
+            _write_parquet(posts, os.path.join(postings_dir, f"chunk={cid}",
+                                               name))
+        if store_fields:
+            _write_fields(rows, os.path.join(fields_dir, f"chunk={cid}"), name,
+                          id_col=id_col, id_is_int=id_is_int,
+                          store_fields=store_fields, field_shards=field_shards)
+        out_c.append(cid)
+        out_r.append(rows.num_rows)
+        out_t.append(int(pc.sum(posts["tf"]).as_py() or 0))
+    # crash-recovery hook (inert in production): dying after every file of
+    # the batch is renamed into place makes the retry rewrite the same
+    # names, which must leave the index exactly as a clean build's
+    chaos_kill_once("stage1")
+    return pa.table({"chunk": pa.array(out_c, pa.string()),
+                     "rows": pa.array(out_r, pa.int64()),
+                     "tokens": pa.array(out_t, pa.int64())})
 
 
 def _link_tree(src: str, dst: str, suffixes: tuple[str, ...] | None = None
@@ -930,6 +979,65 @@ def _build_segments_block(block: pa.Table, *, segments_dir: str,
 # ---------------------------------------------------------------------------
 # the build driver
 
+def _run_stage1(pending: dict, manifest: dict, manifest_path: str, *,
+                postings_dir: str, fields_dir: str, batch_size: int,
+                **udf_kwargs) -> None:
+    """Tokenize every pending chunk (``cid -> (files, fingerprint, rows)``)
+    in ONE Ray Data execution: ``read_parquet(include_paths=True)`` →
+    :func:`_stage1_batch`.  The driver streams the per-chunk result rows
+    and commits a chunk's manifest record once its rows add up to the
+    footer count, so a crashed build still resumes chunk by chunk."""
+    chunk_of = {os.path.abspath(f): cid
+                for cid, (fs, _, _) in pending.items() for f in fs}
+    files = sorted(chunk_of)
+    if len(files) != sum(len(fs) for fs, _, _ in pending.values()):
+        raise ValueError("an input file is listed in more than one chunk")
+    store_fields = udf_kwargs["store_fields"]
+    cols = list(dict.fromkeys(
+        [udf_kwargs["id_col"],
+         udf_kwargs["html_col"] or udf_kwargs["text_col"]] + store_fields))
+    # one block per ~64 MB of input, floored at the cluster CPU count and
+    # wave-aligned to it (9 equal tasks on 4 cpus run as 4+4+1: the last
+    # wave idles 3 cores); Ray's default split made ~200 ms tasks whose
+    # dispatch, not their work, set the stage's wall clock
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    nblocks = int(max(cpus, sum(os.path.getsize(f) for f in files)
+                      // (64 << 20) + 1))
+    nblocks = -(-nblocks // cpus) * cpus
+    # one UDF call per input block: its rows are tokenized ``batch_size``
+    # at a time inside the call but written as ONE file per chunk — a file
+    # per 1,024-row batch would triple the exchange's input files
+    total_rows = sum(n for _, _, n in pending.values())
+    block_rows = max(batch_size, -(-total_rows // nblocks))
+    ds = rd.read_parquet(files, columns=cols, include_paths=True,
+                         override_num_blocks=nblocks).map_batches(
+        _stage1_batch, batch_format="pyarrow", batch_size=block_rows,
+        fn_kwargs=dict(chunk_of=chunk_of, postings_dir=postings_dir,
+                       fields_dir=fields_dir, slice_rows=batch_size,
+                       **udf_kwargs))
+    t0 = time.monotonic()
+    seen = {cid: [0, 0] for cid in pending}
+    for out in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        for cid, rows, tokens in zip(out["chunk"].to_pylist(),
+                                     out["rows"].to_pylist(),
+                                     out["tokens"].to_pylist()):
+            acc = seen[cid]
+            acc[0] += rows
+            acc[1] += tokens
+            fs, fp, n_rows = pending[cid]
+            if acc[0] == n_rows:
+                manifest["chunks"][cid] = _chunk_record(
+                    fs, rows=n_rows, tokens=acc[1], fingerprint=fp,
+                    wall_s=time.monotonic() - t0)
+                atomic_write_json(manifest_path, manifest)
+    short = {cid: (acc[0], pending[cid][2]) for cid, acc in seen.items()
+             if acc[0] != pending[cid][2]}
+    if short:
+        raise RuntimeError(f"stage 1 rows (seen, expected) per chunk: {short}")
+    # per-operator Ray Data breakdown of the one stage-1 execution
+    manifest["stage1_ray_stats"] = ds.stats()
+
+
 def build_index(input_paths, index_root: str, *,
                 text_col: str = "text", id_col: str = "url",
                 id_is_int: bool = False, html_col: str | None = None,
@@ -953,6 +1061,14 @@ def build_index(input_paths, index_root: str, *,
 
     Returns the manifest dict.  ``input_paths``: list of Parquet files or a
     directory.  Ray must already be initialized by the caller.
+
+    The input is split into chunks (``chunk_files`` files each, or the
+    explicit lists); chunks already done or re-linked by fingerprint are
+    skipped, and every other chunk is tokenized in one Ray Data
+    execution whose per-chunk records are committed as each chunk
+    completes.  A fs-exchange build runs three executions (stage 1,
+    spill, segments), plus the hot-term candidate pass when
+    ``hot_df_threshold`` is reachable by ``n_docs``.
 
     ``store_fields``: structured columns (keyword/numeric/date/bool) to
     store in a per-chunk docvalues sidecar (``fields/chunk=N/``, sorted by
@@ -1048,13 +1164,12 @@ def build_index(input_paths, index_root: str, *,
         "status": "building",
     }
 
-    # --- stage 1: resumable per-chunk tokenize ------------------------------
+    # --- stage 1: every pending chunk in one tokenize pass ------------------
     if explicit_chunks is not None:
         chunks = explicit_chunks
     else:
         chunks = [input_paths[i:i + chunk_files]
                   for i in range(0, len(input_paths), chunk_files)]
-    read_cols = [id_col] + ([html_col] if html_col else [text_col])
     reuse_manifest = None
     reuse_dir = None
     if reuse_from_epoch is not None:
@@ -1068,9 +1183,10 @@ def build_index(input_paths, index_root: str, *,
     # build would silently keep segments whose block-max scores were baked
     # with the old corpus stats (no longer sound pruning bounds)
     chunks_changed = False
+    pending: dict = {}  # cid -> (files, fingerprint, rows) to tokenize
     expected_cids = {f"{ci:05d}" for ci in range(len(chunks))}
+    import shutil
     for cid in sorted(set(manifest["chunks"]) - expected_cids):
-        import shutil
         shutil.rmtree(os.path.join(postings_dir, f"chunk={cid}"),
                       ignore_errors=True)
         shutil.rmtree(os.path.join(fields_dir, f"chunk={cid}"),
@@ -1121,75 +1237,24 @@ def build_index(input_paths, index_root: str, *,
                     chunks_changed = True
                     continue
         chunks_changed = True
-        if not files:  # empty bucket holds its chunk slot
+        for d in (postings_dir, fields_dir):  # a crashed run's partial output
+            shutil.rmtree(os.path.join(d, f"chunk={cid}"), ignore_errors=True)
+        n_rows = sum(pq.read_metadata(f).num_rows for f in files)
+        if not n_rows:  # an empty bucket holds its chunk slot
             manifest["chunks"][cid] = _chunk_record(
-                [], rows=0, tokens=0, fingerprint=fp, wall_s=0.0)
+                files, rows=0, tokens=0, fingerprint=fp, wall_s=0.0)
             atomic_write_json(manifest_path, manifest)
             continue
-        t0 = time.monotonic()
-        n_rows = sum(pq.read_metadata(f).num_rows for f in files)
-        # one block per ~64 MB of input, floored at the cluster CPU count:
-        # Ray's default split made 96 blocks / 56 tasks of ~200 ms work
-        # out of a 50 MB chunk, and the driver's ~100 ms/task dispatch —
-        # not the work — set the stage's wall clock.  Real-scale chunks
-        # (chunk_files × ~100 MB files) keep ~64 MB blocks either way.
-        chunk_bytes = sum(os.path.getsize(f) for f in files)
-        _c = int(ray.cluster_resources().get("CPU", 8))
-        nblocks = int(max(_c, chunk_bytes // (64 << 20) + 1))
-        # wave-align to the CPU count: 9 equal tasks on 4 cpus run as
-        # 4+4+1 — the last wave burns 3 idle cores (~25% of the stage
-        # wall on the scaling legs).  Rounding the task count UP to a
-        # multiple of the cpus keeps ~64 MB blocks and full final waves;
-        # the few extra tasks cost ~100 ms dispatch each, the straggler
-        # wave cost seconds.
-        nblocks = -(-nblocks // _c) * _c
-        ds = rd.read_parquet(files, columns=read_cols,
-                             override_num_blocks=nblocks)
-        if html_col:
-            ds = ds.map_batches(extract_batch, batch_format="pyarrow",
-                                batch_size=batch_size)
-        ds = ds.map_batches(
-            _emit, batch_format="pyarrow", batch_size=batch_size,
-            fn_kwargs=dict(text_col=text_col, id_col=id_col,
-                           id_is_int=id_is_int, analyzer=analyzer,
-                           with_positions=with_positions))
-        out = os.path.join(postings_dir, f"chunk={cid}")
-        import shutil
-        shutil.rmtree(out, ignore_errors=True)  # clear partial output
-        ds.write_parquet(out)
-        if store_fields:
-            # docvalues/docstore sidecar: a second column-pruned pass over
-            # ONLY (id + stored fields) — the heavy text/html columns are
-            # never re-read; written per chunk so it shares the resume
-            # lineage with the postings
-            fout = os.path.join(fields_dir, f"chunk={cid}")
-            shutil.rmtree(fout, ignore_errors=True)
-            # id_col may itself be a stored field (docstore returns the
-            # source key, e.g. url) — dedupe the projection
-            fcols = list(dict.fromkeys([id_col] + store_fields))
-            fds = rd.read_parquet(files, columns=fcols,
-                                  override_num_blocks=nblocks)
-            fds = fds.map_batches(
-                _fields_batch, batch_format="pyarrow", batch_size=8192,
-                fn_kwargs=dict(id_col=id_col, id_is_int=id_is_int,
-                               store_fields=store_fields,
-                               field_shards=field_shards))
-            # hive-partitioned by docid-range shard: chunk=N/fshard=S/ —
-            # query actors load only touched shards (query/fields.py)
-            fds.write_parquet(fout, partition_cols=["fshard"])
-        # per-chunk token sum: a cheap projected read-back of one int32
-        # column, recorded in the lineage so corpus stats need no extra
-        # full pass later
-        chunk_tokens = _sum_int_column(out, "tf")
-        try:  # per-stage Ray Data execution breakdown → lineage metrics
-            ray_stats = ds.stats()[:1500]
-        except Exception:  # noqa: BLE001 — stats are best-effort
-            ray_stats = ""
-        manifest["chunks"][cid] = _chunk_record(
-            files, rows=n_rows, tokens=chunk_tokens, fingerprint=fp,
-            wall_s=time.monotonic() - t0, ray_stats=ray_stats)
-        atomic_write_json(manifest_path, manifest)
+        pending[cid] = (files, fp, n_rows)
 
+    t_stage1 = time.monotonic()
+    if pending:
+        _run_stage1(pending, manifest, manifest_path,
+                    postings_dir=postings_dir, fields_dir=fields_dir,
+                    text_col=text_col, id_col=id_col, id_is_int=id_is_int,
+                    html_col=html_col, analyzer=analyzer,
+                    with_positions=with_positions, store_fields=store_fields,
+                    field_shards=field_shards, batch_size=batch_size)
     n_docs = sum(c["rows"] for c in manifest["chunks"].values())
     total_tokens = sum(c.get("tokens", 0) for c in manifest["chunks"].values())
 
@@ -1272,19 +1337,6 @@ def build_index(input_paths, index_root: str, *,
         sidecar_loaded = True
     if n_postings and not sidecar_loaded:
         sample_files, sampled_rows = _sample_files(post_files, 2_000_000)
-        cand_ds = rd.read_parquet(sample_files, columns=["term"]).map_batches(
-            _hot_candidates_batch, batch_format="pyarrow", batch_size=131072,
-            fn_kwargs=dict(threshold=hot_df_threshold,
-                           total_rows=n_postings))
-        # enforce the cap DISTRIBUTED, before anything reaches the driver:
-        # sum the per-batch partials per term, keep the top-cap by count —
-        # the take_all below is bounded by hot_candidate_cap rows no matter
-        # how pathological the vocabulary/threshold combination is.  Terms
-        # trimmed here just lose salting (correctness unaffected: cold
-        # terms compute exact df inside their single partition).
-        cand_rows = (cand_ds.groupby("term").sum("cnt")
-                     .sort("sum(cnt)", descending=True)
-                     .limit(hot_candidate_cap).take_all())
         # the REAL noise-margin cut runs on the GLOBAL sampled sum, where
         # batch geometry can't distort it: a df ≥ threshold term's
         # expected sampled count is e_g = thr·sampled/total, so keep terms
@@ -1295,10 +1347,29 @@ def build_index(input_paths, index_root: str, *,
         # clear the threshold.)
         e_g = hot_df_threshold * sampled_rows / max(1, n_postings)
         cut_g = max(2.0, e_g - 4.0 * e_g ** 0.5)
-        candidates = {r["term"] for r in cand_rows if r["sum(cnt)"] >= cut_g}
-        if len(cand_rows) >= hot_candidate_cap:
-            log.warning("hot-candidate set hit the cap (%d); kept the top "
-                        "by partial count", hot_candidate_cap)
+        # a term's sampled count is at most the number of input rows, so
+        # below the cut the candidate set is provably empty: skip the pass
+        if n_docs >= cut_g:
+            cand_ds = rd.read_parquet(sample_files, columns=["term"]) \
+                .map_batches(_hot_candidates_batch, batch_format="pyarrow",
+                             batch_size=131072,
+                             fn_kwargs=dict(threshold=hot_df_threshold,
+                                            total_rows=n_postings))
+            # enforce the cap DISTRIBUTED, before anything reaches the
+            # driver: sum the per-batch partials per term, keep the
+            # top-cap by count — the take_all below is bounded by
+            # hot_candidate_cap rows no matter how pathological the
+            # vocabulary/threshold combination is.  Terms trimmed here
+            # just lose salting (correctness unaffected: cold terms
+            # compute exact df inside their single partition).
+            cand_rows = (cand_ds.groupby("term").sum("cnt")
+                         .sort("sum(cnt)", descending=True)
+                         .limit(hot_candidate_cap).take_all())
+            candidates = {r["term"] for r in cand_rows
+                          if r["sum(cnt)"] >= cut_g}
+            if len(cand_rows) >= hot_candidate_cap:
+                log.warning("hot-candidate set hit the cap (%d); kept the "
+                            "top by partial count", hot_candidate_cap)
 
     if any("tokens" not in c for c in manifest["chunks"].values()):
         # manifest predates per-chunk token sums (resume from an older
@@ -1398,7 +1469,10 @@ def build_index(input_paths, index_root: str, *,
     # made 660 MB in-memory batches at the 3M-doc scale probe (object
     # store pressure turned the spill into 166 s of the 257 s build)
     if post_files:
-        _sample = pq.ParquetFile(post_files[0]).read_row_group(0)
+        # the first 64k rows, not row group 0: a stage-1 file is one row
+        # group of up to 1M rows per input block
+        _sample = next(pq.ParquetFile(post_files[0]).iter_batches(
+            batch_size=65536))
         arrow_bpr = max(8.0, _sample.nbytes / max(1, _sample.num_rows))
         del _sample
     else:
@@ -1480,6 +1554,7 @@ def build_index(input_paths, index_root: str, *,
                      else "object-store exchange; no shared storage needed"),
     }
     manifest["stage_walls"] = {
+        "stage1_s": round(_t_stage1_done - t_stage1, 3),
         "stats_and_hot_s": round(_t_stats_done - _t_stage1_done, 3),
         "shuffle_and_segments_s": round(_t_build_done - _t_stats_done, 3),
         **({"spill_s": round(_t_spill_done - _t_stats_done, 3),
@@ -1537,18 +1612,9 @@ def build_table_index(table: pa.Table, ed: str, *, files: list[str],
     if store_fields:
         store_fields = sorted(store_fields)
         _write_fields_meta(fields_dir, field_shards)
-        fields = _fields_batch(
-            table.select(list(dict.fromkeys([id_col] + store_fields))),
-            id_col=id_col, id_is_int=id_is_int, store_fields=store_fields,
-            field_shards=field_shards)
-        shard = fields["fshard"].to_numpy()
-        fields = fields.drop_columns(["fshard"])
-        for s in np.unique(shard):
-            path = os.path.join(fields_dir, "chunk=00000", f"fshard={s}",
-                                "part-0.parquet")
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            pq.write_table(fields.filter(pa.array(shard == s)), path + ".tmp")
-            os.replace(path + ".tmp", path)
+        _write_fields(table, os.path.join(fields_dir, "chunk=00000"),
+                      "part-0.parquet", id_col=id_col, id_is_int=id_is_int,
+                      store_fields=store_fields, field_shards=field_shards)
     wall = time.monotonic() - t0
     return {"chunks": {"00000": _chunk_record(
                 files, rows=n_docs, tokens=total_tokens, fingerprint=None,

@@ -63,9 +63,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..index.build import (_emit, build_index, build_table_index,
-                           commit_epoch, epoch_dir, index_meta,
-                           index_meta_matches)
+from ..index.build import (_emit, _write_parquet, build_index,
+                           build_table_index, commit_epoch, epoch_dir,
+                           index_meta, index_meta_matches)
 from ..query.bm25 import B_DEFAULT, K1_DEFAULT
 from ..stages.analyze import extract_batch
 from ..stages.fold import _PART_COL, _fold_partition, apply_epoch, tag_base
@@ -171,12 +171,6 @@ def _docids(t: pa.Table, id_col: str, id_is_int: bool) -> np.ndarray:
     if id_is_int:
         return t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     return np.array(hash_ids(t[id_col].to_pylist()), dtype=np.int64)
-
-
-def _write_parquet(t: pa.Table, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    pq.write_table(t, path + ".tmp")
-    os.replace(path + ".tmp", path)
 
 
 def _old_version_stats(prev: pa.Table | None, delta: pa.Table, *, bucket,

@@ -2,7 +2,10 @@
 once per stage, via util.chaos_kill_once) and Ray's task retry must
 produce an index IDENTICAL to a clean build.
 
-The spill-stage kill fires AFTER every spill file of the victim block is
+The stage-1 kill fires after a tokenize task has renamed its postings and
+docvalues files into place: the retry rewrites the same content-named
+files, so the chunk holds one copy of its rows.  The spill-stage kill
+fires AFTER every spill file of the victim block is
 renamed into place — so the retried attempt re-spills the whole block
 under a new uid and the exchange contains full duplicates, the exact
 case `_spill_exchange_block`'s contract delegates to the duplicate-row
@@ -234,7 +237,8 @@ def test_worker_death_mid_build_yields_identical_index(corpus_dir, tmp_path):
     clean = _run(corpus_dir, str(tmp_path / "idx_clean"), None)
     chaos = _run(corpus_dir, str(tmp_path / "idx_chaos"), chaos_dir)
     # both stage kills actually fired (a worker process really died)
-    assert chaos["killed"] == ["killed_segments", "killed_spill"]
+    assert chaos["killed"] == ["killed_segments", "killed_spill",
+                               "killed_stage1"]
     assert clean["killed"] == []
     # ...and the recovered index is indistinguishable from the clean one
     assert chaos["stats"] == clean["stats"]
