@@ -17,9 +17,10 @@ construction implemented natively:
   stage 2  (term shuffle, E5+E7+E12): hot-term candidates from a sample
            (skipped when no term can reach the threshold) →
            assign term partitions (hot terms salted across partitions) →
-           groupby(tpart).map_groups building delta+varint posting lists with
-           block-max metadata → one atomically-written segment file per
-           term partition
+           delta+varint posting lists with block-max metadata → one
+           atomically-written segment file per term partition; a build of
+           at most 256k postings does this in one Ray task
+           (``build_segments``), a larger one through the term exchange
   manifest (E11): per-chunk and per-term-partition lineage + metrics; a
            crashed build resumes skipping completed chunks AND completed
            term partitions (strictly better than the reference's
@@ -373,10 +374,11 @@ def _assign_tpart(batch: pa.Table, *, num_partitions: int, hot_salt: int,
                   hot_ref, emit_hot: bool = False) -> pa.Table:
     """Add (tpart, salt) columns.  Hot terms get salt = docid % S and a
     partition derived from (term, salt) so their postings spread over up to
-    S distinct partitions (E12).  ``hot_ref``: the SALTED-TERM set (any
-    container supporting ``in``); ``emit_hot`` appends the per-row hotness
-    as a bool column (free — row_hot is already computed) so the fs spill
-    can count exact salted-term df without a second membership pass.
+    S distinct partitions (E12).  ``hot_ref``: the SALTED-TERM set, as an
+    object ref (cached per worker process) or an in-process collection;
+    ``emit_hot`` appends the per-row hotness as a bool column (free —
+    row_hot is already computed) so :func:`_assign_and_count` can count
+    exact salted-term df without a second membership pass.
 
     Vectorized: distinct terms come from an Arrow dictionary-encode, their
     base partitions from a tight crc32 C-call loop over the distinct BYTES
@@ -386,16 +388,21 @@ def _assign_tpart(batch: pa.Table, *, num_partitions: int, hot_salt: int,
     only the HOT distinct terms (bounded by the salted-candidate cap) take
     the per-term python path for their salted partition rows."""
     import zlib as _zlib
-    key = hot_ref.hex() if hasattr(hot_ref, "hex") else id(hot_ref)
-    ent = _HOT_CACHE.get(key)
-    if ent is None:
-        if len(_HOT_CACHE) > 16:  # ref-keyed caches must not grow unboundedly
-            _HOT_CACHE.clear()
-            _TP_CACHE.clear()
-        hot = ray.get(hot_ref) if hot_ref is not None else {}
-        hot_vs = pa.array(list(hot), pa.string()) if hot else None
-        ent = _HOT_CACHE[key] = (hot, hot_vs)
-    hot, hot_vs = ent
+    if isinstance(hot_ref, ray.ObjectRef):
+        key = hot_ref.hex()
+        hot_vs = _HOT_CACHE.get(key)
+        if hot_vs is None:
+            if len(_HOT_CACHE) > 16:  # ref-keyed caches must stay bounded
+                _HOT_CACHE.clear()
+                _TP_CACHE.clear()
+            hot_vs = _HOT_CACHE[key] = pa.array(list(ray.get(hot_ref)),
+                                                pa.string())
+        tp_cache = _TP_CACHE.setdefault((key, num_partitions, hot_salt), {})
+    else:
+        hot_vs = pa.array(list(hot_ref or ()), pa.string())
+        tp_cache = {}
+    if not len(hot_vs):
+        hot_vs = None
     # distinct terms via Arrow hash dictionary-encode (C speed) — only the
     # DISTINCT strings ever cross into Python, as bytes, once per block
     tdic = pc.dictionary_encode(batch["term"].combine_chunks())
@@ -419,14 +426,13 @@ def _assign_tpart(batch: pa.Table, *, num_partitions: int, hot_salt: int,
     hot_idx = np.flatnonzero(is_hot)
     if hot_idx.size:
         # salted partition rows only for the few hot distinct terms
-        cache = _TP_CACHE.setdefault((key, num_partitions, hot_salt), {})
         salted = np.zeros((len(uniq_bytes), hot_salt), dtype=np.int32)
         for i in hot_idx:
             b = uniq_bytes[i]
-            row = cache.get(b)
+            row = tp_cache.get(b)
             if row is None:
                 h0 = _crc(b)
-                row = cache[b] = np.array(
+                row = tp_cache[b] = np.array(
                     [h0 % num_partitions] +
                     [_crc(s.to_bytes(4, "big"), h0) % num_partitions
                      for s in range(1, hot_salt)], dtype=np.int32)
@@ -781,20 +787,11 @@ _SUMMARY_SCHEMA = pa.schema([
 ])
 
 
-def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
-                          num_partitions: int, hot_salt: int,
-                          hot_ref) -> pa.Table:
-    """Map side of the filesystem exchange: split one postings block by
-    tpart and append a spill file per touched partition (atomic rename;
-    file names are unique per task attempt, so retries can only add
-    duplicate data for blocks whose task failed AFTER writing — guarded by
-    the duplicate-row fold in build_segment_group).
-
-    Returns per-block EXACT COUNT partials for the salted (candidate)
-    terms — the spill already reads every posting row, so the old
-    separate exact-stats pass over the full term column is fused into it
-    (one fewer full read of the postings' largest column)."""
-    import uuid
+def _assign_and_count(block: pa.Table, *, num_partitions: int, hot_salt: int,
+                      hot_ref) -> tuple[pa.Table, pa.Table]:
+    """Assign (tpart, salt) to a postings block and count the postings of
+    each salted term in it: the ``(term, cnt)`` partials whose sum over
+    all blocks is a salted term's exact global df."""
     block = _assign_tpart(block, num_partitions=num_partitions,
                           hot_salt=hot_salt, hot_ref=hot_ref, emit_hot=True)
     hotmask = block["hot"]
@@ -805,7 +802,32 @@ def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
     else:
         partials = pa.table({"term": pa.array([], pa.string()),
                              "cnt": pa.array([], pa.int64())})
-    block = block.drop_columns(["hot"])
+    return block.drop_columns(["hot"]), partials
+
+
+def _sum_partials(rows) -> dict:
+    """Sum ``(term, cnt)`` partial rows per term."""
+    sums: dict = {}
+    for r in rows:
+        sums[r["term"]] = sums.get(r["term"], 0) + int(r["cnt"])
+    return sums
+
+
+def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
+                          num_partitions: int, hot_salt: int,
+                          hot_ref) -> pa.Table:
+    """Map side of the filesystem exchange: split one postings block by
+    tpart and append a spill file per touched partition (atomic rename;
+    file names are unique per task attempt, so retries can only add
+    duplicate data for blocks whose task failed AFTER writing — guarded by
+    the duplicate-row fold in build_segment_group).
+
+    Returns per-block EXACT COUNT partials for the salted (candidate)
+    terms (:func:`_assign_and_count`) — the spill already reads every
+    posting row, so no separate exact-stats pass is needed."""
+    import uuid
+    block, partials = _assign_and_count(block, num_partitions=num_partitions,
+                                        hot_salt=hot_salt, hot_ref=hot_ref)
     tp = block["tpart"].to_numpy()
     order = np.argsort(tp, kind="stable")
     sorted_block = block.take(pa.array(order))
@@ -976,6 +998,48 @@ def _build_segments_block(block: pa.Table, *, segments_dir: str,
     return pa.concat_tables(outs)
 
 
+# A build with at most this many stage-1 postings builds its segments in one
+# Ray task (:func:`_segments_task`) instead of the term exchange.  Stage 2
+# in one task costs about 0.05 s + 0.8 µs per posting on one core; the
+# exchange's spill and segment executions cost about 0.27 s before any
+# work, so they win only above ~256k postings.
+_TASK_POSTINGS = 1 << 18
+
+
+def build_segments(posts: pa.Table, *, segments_dir: str, params: BM25Params,
+                   num_partitions: int, hot_salt: int, salted=None,
+                   tparts=None, hot_df: dict | None = None
+                   ) -> tuple[list[dict], dict]:
+    """Stage 2 in this process: assign term partitions (``salted`` terms
+    spread over ``hot_salt`` sub-lists), count the salted terms' exact df
+    as the spill does, sort by partition and build the segment of every
+    partition in ``tparts`` (default: all).  Rows keep their input order
+    within a partition, as in a one-block spill, so the segment files are
+    those the exchange writes from the same postings.  ``hot_df``: the
+    salted-term df to build with (a resumed build's sidecar); counted when
+    None.  Returns the partition summaries and the salted-term df."""
+    parts, partials = _assign_and_count(posts, num_partitions=num_partitions,
+                                        hot_salt=hot_salt, hot_ref=salted)
+    if hot_df is None:
+        hot_df = _sum_partials(partials.to_pylist())
+    tp = parts["tpart"].to_numpy()
+    order = np.argsort(tp, kind="stable")
+    if tparts is not None and len(tparts) != num_partitions:
+        order = order[np.isin(tp[order], tparts)]
+    parts = parts.take(pa.array(order))
+    summaries = _build_segments_block(parts, segments_dir=segments_dir,
+                                      params=params, hot_df=hot_df)
+    return summaries.to_pylist(), hot_df
+
+
+@ray.remote(max_retries=3)
+def _segments_task(post_files: list[str], **kwargs) -> tuple[list[dict], dict]:
+    """Stage 2 of a small build as one task: read every stage-1 postings
+    file (fresh and re-linked chunks) and :func:`build_segments`."""
+    posts = pa.concat_tables([pq.read_table(f) for f in post_files])
+    return build_segments(posts, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # the build driver
 
@@ -1038,6 +1102,150 @@ def _run_stage1(pending: dict, manifest: dict, manifest_path: str, *,
     manifest["stage1_ray_stats"] = ds.stats()
 
 
+def _exchange(manifest: dict, post_files: list[str], pending_tparts, *,
+              index_root: str, epoch: int, postings_dir: str,
+              segments_dir: str, shuffle: str, exchange_dir: str | None,
+              post_unc_bytes: int, num_partitions: int, hot_salt: int,
+              candidates, params: BM25Params, hot_df: dict,
+              persist_hot) -> tuple[list[dict], dict, dict]:
+    """Stage 2 of a build above ``_TASK_POSTINGS``: move the postings to
+    their term partitions with the ``shuffle`` exchange and build every
+    pending partition's segment.  Records the exchange in ``manifest``.
+    ``persist_hot``: when set, the salted-term df is counted during the
+    exchange and handed to it before any segment is built.  Returns the
+    partition summaries, the salted-term df and the stage walls.
+
+    A filesystem-based two-phase exchange (the classic external shuffle):
+    map tasks split each postings block by tpart and append partitioned
+    spill files; reduce tasks then build each term partition from its
+    spill directory.  Chosen over Ray's built-in sort/hash shuffles after
+    measurement: both moved this exchange at <10 MB/s here (global sort /
+    aggregator-actor overheads), while partitioned spill + direct reads run
+    at disk speed, need no actor reservations (no tiny-cluster deadlocks),
+    and give per-term-partition resume for free."""
+    import functools
+    import shutil
+    P = num_partitions
+    ed = epoch_dir(index_root, epoch)
+    ex_base = exchange_dir or os.environ.get("SI_EXCHANGE_DIR")
+    if ex_base:
+        # namespace per (index, epoch): a shared SI_EXCHANGE_DIR serving
+        # concurrent builds (TableManager.backfill_all) must not let one
+        # build's start/cleanup rmtree destroy another's in-flight spill
+        import hashlib as _hl
+        tag = _hl.sha1(os.path.abspath(index_root).encode()).hexdigest()[:12]
+        exchange_dir = os.path.join(ex_base, f"ex-{tag}-e{epoch:04d}")
+    else:
+        exchange_dir = os.path.join(ed, "exchange")
+    manifest["exchange"] = {
+        "mode": shuffle,
+        "dir": exchange_dir if shuffle == "fs" else None,
+        "contract": ("exchange dir must be on storage visible to every "
+                     "worker (shared FS / object-store mount) on multi-node "
+                     "clusters" if shuffle == "fs"
+                     else "object-store exchange; no shared storage needed"),
+    }
+    if not (pending_tparts and post_files):
+        return [], hot_df, {}
+
+    _cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
+    # builders are memory-bandwidth-bound: reserving 2 CPUs per task on
+    # ≥8-CPU clusters halves concurrent builders and measures ~5% faster
+    # than 1-per-core (SI_BUILDER_CPUS overrides)
+    builder_cpus = float(os.environ.get(
+        "SI_BUILDER_CPUS", "2" if _cluster_cpus >= 8 else "1"))
+    # Exchange-read granularity, re-measured AFTER the assign-stage
+    # vectorization (the earlier small-block advantage was the python
+    # per-term cache loop, now gone): ~24 MB UNCOMPRESSED per block is
+    # the sweet spot with a sharp cliff above ~50 MB (58 MB-compressed
+    # postings: 16 blocks → 7.1 s at 1 cpu / 4.2 s at 4, but 8 blocks →
+    # 29.7 / 9.1 and Ray's default 240 → 12.8 / 7.4).  Floored at the
+    # CPU count so small inputs still use every core.
+    exchange_blocks = int(max(_cluster_cpus,
+                              post_unc_bytes // (24 << 20) + 1))
+    # wave-align (same rationale as the stage-1 read blocks): a partial
+    # final wave idles cores for a whole ~24 MB-block scan
+    exchange_blocks = -(-exchange_blocks // _cluster_cpus) * _cluster_cpus
+    # Ray's parquet reader streams 10k-row record batches out of the read
+    # task, and a fused map_batches(batch_size=None) runs once PER RECORD
+    # BATCH — measured 5,244 spill calls (and 5,244 tiny files per tpart
+    # dir) on the 300k-doc bench where ~32 were intended.  An explicit
+    # rows-per-~24MB batch_size makes the map coalesce to the designed
+    # granularity; the tiny-file read storm on the reduce side goes away.
+    # batch sizing must use ARROW in-memory width, not the parquet
+    # uncompressed footprint: term strings + int64 docids decode to
+    # ~5x the parquet byte count, and a footprint-derived row target
+    # made 660 MB in-memory batches at the 3M-doc scale probe (object
+    # store pressure turned the spill into 166 s of the 257 s build).
+    # The width is sampled from the first 64k rows, not row group 0: a
+    # stage-1 file is one row group of up to 1M rows per input block.
+    _sample = next(pq.ParquetFile(post_files[0]).iter_batches(
+        batch_size=65536))
+    arrow_bpr = max(8.0, _sample.nbytes / max(1, _sample.num_rows))
+    del _sample
+    # scale the batch with P so per-tpart spill files stay chunky
+    # (a 24 MB batch split 512 ways is a 47 KB-file storm), capped at
+    # 64 MB in-memory so batch x concurrency x sort copies stays inside
+    # worker heaps; beyond P~64 prefer shuffle="ray" (object-store
+    # exchange) on real clusters — recorded in the manifest contract
+    _batch_bytes = min(64 << 20, max(24 << 20, (3 << 19) * P))
+    exchange_batch_rows = int(max(10_000, _batch_bytes / arrow_bpr))
+    salt_ref = ray.put(frozenset(candidates))
+    walls: dict = {}
+    t0 = time.monotonic()
+    if shuffle == "fs":
+        shutil.rmtree(exchange_dir, ignore_errors=True)
+        os.makedirs(exchange_dir, exist_ok=True)
+        postings = rd.read_parquet(postings_dir,
+                                   override_num_blocks=exchange_blocks)
+        spill_partials = postings.map_batches(
+            _spill_exchange_block, batch_size=exchange_batch_rows,
+            batch_format="pyarrow",
+            fn_kwargs=dict(exchange_dir=exchange_dir, num_partitions=P,
+                           hot_salt=hot_salt, hot_ref=salt_ref)).take_all()
+        if persist_hot is not None:
+            # the spill counted every salted term's postings while it
+            # split the blocks
+            hot_df = _sum_partials(spill_partials)
+            persist_hot(hot_df)
+        del spill_partials
+        walls["spill_s"] = round(time.monotonic() - t0, 3)
+        t0 = time.monotonic()
+
+        builder = functools.partial(
+            _build_tpart_from_exchange, exchange_dir=exchange_dir,
+            segments_dir=segments_dir, params=params, hot_df=hot_df)
+        # one block per tpart — from_items alone yields a single block and
+        # would serialize every partition build into one task
+        parts_ds = rd.from_items([{"tpart": p} for p in pending_tparts],
+                                 override_num_blocks=len(pending_tparts))
+        summaries = parts_ds.map_batches(
+            builder, batch_size=1, batch_format="pyarrow",
+            num_cpus=builder_cpus).take_all()
+        walls["segments_s"] = round(time.monotonic() - t0, 3)
+        if not os.environ.get("SI_KEEP_EXCHANGE"):  # debug: keep spills
+            shutil.rmtree(exchange_dir, ignore_errors=True)
+    else:  # shuffle == "ray"
+        # Ray-native exchange: assign tparts in a map stage, move blocks
+        # through the object store with a sort-based groupby, build each
+        # pending partition in its map_groups call.  No shared-filesystem
+        # assumption — the correct mode for node-local-disk clusters.
+        pending_ref = ray.put(np.array(sorted(pending_tparts), dtype=np.int32))
+        postings = rd.read_parquet(postings_dir,
+                                   override_num_blocks=exchange_blocks)
+        assigned = postings.map_batches(
+            _assign_pending_batch, batch_size=exchange_batch_rows,
+            batch_format="pyarrow",
+            fn_kwargs=dict(num_partitions=P, hot_salt=hot_salt,
+                           hot_ref=salt_ref, pending_ref=pending_ref))
+        builder = functools.partial(_build_group_ray, segments_dir=segments_dir,
+                                    params=params, hot_df=hot_df)
+        summaries = assigned.groupby("tpart").map_groups(
+            builder, batch_format="pyarrow",
+            num_cpus=builder_cpus).take_all()
+    return summaries, hot_df, walls
+
+
 def build_index(input_paths, index_root: str, *,
                 text_col: str = "text", id_col: str = "url",
                 id_is_int: bool = False, html_col: str | None = None,
@@ -1066,9 +1274,18 @@ def build_index(input_paths, index_root: str, *,
     explicit lists); chunks already done or re-linked by fingerprint are
     skipped, and every other chunk is tokenized in one Ray Data
     execution whose per-chunk records are committed as each chunk
-    completes.  A fs-exchange build runs three executions (stage 1,
-    spill, segments), plus the hot-term candidate pass when
+    completes.  The hot-term candidate pass adds one execution when
     ``hot_df_threshold`` is reachable by ``n_docs``.
+
+    Stage 2 depends on the size of stage 1's output.  A build of at most
+    ``_TASK_POSTINGS`` (256k) postings, fresh and re-linked, builds every
+    pending term partition in ONE Ray task (:func:`build_segments`): it
+    reads ``postings/``, assigns partitions with the same ``P``, salt and
+    salted set, counts the salted terms' exact df and writes the segments
+    — the files the exchange would write.  Such a build runs no spill or
+    segment execution and no ``ray``-mode exact-stats pass.  A larger
+    build moves its postings through the ``shuffle`` exchange: ``fs``
+    runs a spill and a segment execution after stage 1.
 
     ``store_fields``: structured columns (keyword/numeric/date/bool) to
     store in a per-chunk docvalues sidecar (``fields/chunk=N/``, sorted by
@@ -1085,7 +1302,9 @@ def build_index(input_paths, index_root: str, *,
     reference's equivalent_schema?, schemas.cr:88-118) so an equivalent but
     reordered mapping resumes instead of forcing a rebuild (T6).
 
-    ``shuffle``: the stage-2 term-exchange strategy —
+    ``shuffle``: the stage-2 term-exchange strategy above the one-task
+    bound (``shuffle``, ``exchange_dir`` and ``$SI_SHUFFLE`` do not act
+    below it, where the manifest records ``exchange.mode = "task"``) —
     - ``"fs"`` (default): two-phase filesystem exchange (map tasks spill
       per-tpart Parquet, reduce tasks read their partition directory).
       CONTRACT: ``exchange_dir`` must be visible to every worker — on a
@@ -1296,9 +1515,9 @@ def build_index(input_paths, index_root: str, *,
     # terms whose in-batch count could plausibly extrapolate to the hot
     # threshold (4x safety margin).  Every candidate gets SALTED; its exact
     # global df (needed for the scores baked into its salted sub-lists) is
-    # counted during the exchange itself — the fs spill pass reads every
-    # posting row anyway, so the old separate full term-column scan is
-    # fused away.  Mis-detection only shifts skew handling, never
+    # counted where the partitions are assigned (:func:`_assign_and_count`,
+    # in the fs spill or the small build's one task), so no separate full
+    # term-column scan runs.  Mis-detection only shifts skew handling, never
     # correctness: cold terms compute exact df locally in their single
     # partition, and sub-threshold candidates just carry (exact) df on more
     # sub-lists than strictly needed.
@@ -1382,34 +1601,23 @@ def build_index(input_paths, index_root: str, *,
             "num_term_partitions": P, "hot_salt": hot_salt,
             "hot_terms": df_map})
 
-    if n_postings and candidates and not sidecar_loaded and shuffle == "ray":
+    # a small build skips the exchange: one task counts the salted df too
+    in_task = n_postings <= _TASK_POSTINGS
+    if (n_postings and candidates and not sidecar_loaded and shuffle == "ray"
+            and not in_task):
         # ray mode runs assign+shuffle+build as ONE pipeline, so the exact
         # salted-term df must exist before it starts: keep the projected
         # term-column pass here (fs mode fuses it into the spill pass)
         cand_ref = ray.put(sorted(candidates))
-        partials = rd.read_parquet(postings_dir, columns=["term"]).map_batches(
+        hot_df = _sum_partials(rd.read_parquet(
+            postings_dir, columns=["term"]).map_batches(
             _exact_stats_batch, batch_format="pyarrow", batch_size=131072,
-            fn_kwargs=dict(cand_ref=cand_ref)).take_all()
-        sums: dict = {}
-        for r in partials:
-            sums[r["term"]] = sums.get(r["term"], 0) + int(r["cnt"])
-        sums.pop(_TOTAL_SENTINEL, None)
-        hot_df = sums          # every SALTED term carries its exact df
+            fn_kwargs=dict(cand_ref=cand_ref)).take_all())
+        hot_df.pop(_TOTAL_SENTINEL, None)  # every SALTED term's exact df
         _persist_hot(hot_df)
         sidecar_loaded = True
     avgdl = (total_tokens / n_docs) if n_docs else 1.0
     params = BM25Params(k1=k1, b=b, n_docs=n_docs, avgdl=avgdl)
-    # assignment needs only the salted SET; df values flow to the reduce
-    salt_ref = ray.put(frozenset(candidates))
-    # --- stage 2b: the term exchange -------------------------------------
-    # A filesystem-based two-phase exchange (the classic external shuffle):
-    # map tasks split each postings block by tpart and append partitioned
-    # Parquet spill files; reduce tasks then build each term partition from
-    # its spill directory.  Chosen over Ray's built-in sort/hash shuffles
-    # after measurement: both moved this exchange at <10 MB/s here (global
-    # sort / aggregator-actor overheads), while partitioned spill + direct
-    # reads run at disk speed, need no actor reservations (no tiny-cluster
-    # deadlocks), and give per-term-partition resume for free.
     _t_stats_done = time.monotonic()
     prev_stats = manifest.get("stats") or {}
     if (manifest["segments"] and prev_stats
@@ -1419,147 +1627,49 @@ def build_index(input_paths, index_root: str, *,
     if chunks_changed and manifest["segments"]:
         log.info("input chunks changed; invalidating %d completed segments",
                  len(manifest["segments"]))
-        import shutil as _sh
         manifest["segments"] = {}
-        _sh.rmtree(segments_dir, ignore_errors=True)
+        shutil.rmtree(segments_dir, ignore_errors=True)
         os.makedirs(segments_dir, exist_ok=True)
         atomic_write_json(manifest_path, manifest)
     done_tparts = {int(k) for k, v in manifest["segments"].items()
                    if v.get("status") == "done"} if resume else set()
     pending_tparts = [p for p in range(P) if p not in done_tparts]
-    ex_base = exchange_dir or os.environ.get("SI_EXCHANGE_DIR")
-    if ex_base:
-        # namespace per (index, epoch): a shared SI_EXCHANGE_DIR serving
-        # concurrent builds (TableManager.backfill_all) must not let one
-        # build's start/cleanup rmtree destroy another's in-flight spill
-        import hashlib as _hl
-        tag = _hl.sha1(os.path.abspath(index_root).encode()).hexdigest()[:12]
-        exchange_dir = os.path.join(ex_base, f"ex-{tag}-e{epoch:04d}")
-    else:
-        exchange_dir = os.path.join(ed, "exchange")
 
-    import functools
-    _cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # builders are memory-bandwidth-bound: reserving 2 CPUs per task on
-    # ≥8-CPU clusters halves concurrent builders and measures ~5% faster
-    # than 1-per-core (SI_BUILDER_CPUS overrides)
-    builder_cpus = float(os.environ.get(
-        "SI_BUILDER_CPUS", "2" if _cluster_cpus >= 8 else "1"))
-    # Exchange-read granularity, re-measured AFTER the assign-stage
-    # vectorization (the earlier small-block advantage was the python
-    # per-term cache loop, now gone): ~24 MB UNCOMPRESSED per block is
-    # the sweet spot with a sharp cliff above ~50 MB (58 MB-compressed
-    # postings: 16 blocks → 7.1 s at 1 cpu / 4.2 s at 4, but 8 blocks →
-    # 29.7 / 9.1 and Ray's default 240 → 12.8 / 7.4).  Floored at the
-    # CPU count so small inputs still use every core.
-    exchange_blocks = int(max(_cluster_cpus,
-                              post_unc_bytes // (24 << 20) + 1))
-    # wave-align (same rationale as the stage-1 read blocks): a partial
-    # final wave idles cores for a whole ~24 MB-block scan
-    exchange_blocks = -(-exchange_blocks // _cluster_cpus) * _cluster_cpus
-    # Ray's parquet reader streams 10k-row record batches out of the read
-    # task, and a fused map_batches(batch_size=None) runs once PER RECORD
-    # BATCH — measured 5,244 spill calls (and 5,244 tiny files per tpart
-    # dir) on the 300k-doc bench where ~32 were intended.  An explicit
-    # rows-per-~24MB batch_size makes the map coalesce to the designed
-    # granularity; the tiny-file read storm on the reduce side goes away.
-    # batch sizing must use ARROW in-memory width, not the parquet
-    # uncompressed footprint: term strings + int64 docids decode to
-    # ~5x the parquet byte count, and a footprint-derived row target
-    # made 660 MB in-memory batches at the 3M-doc scale probe (object
-    # store pressure turned the spill into 166 s of the 257 s build)
-    if post_files:
-        # the first 64k rows, not row group 0: a stage-1 file is one row
-        # group of up to 1M rows per input block
-        _sample = next(pq.ParquetFile(post_files[0]).iter_batches(
-            batch_size=65536))
-        arrow_bpr = max(8.0, _sample.nbytes / max(1, _sample.num_rows))
-        del _sample
+    if in_task:
+        manifest["exchange"] = {"mode": "task", "dir": None,
+                                "contract": None}
+        summaries, walls = [], {}
+        if pending_tparts and n_postings:
+            t0 = time.monotonic()
+            summaries, hot_df = ray.get(_segments_task.remote(
+                post_files, segments_dir=segments_dir, params=params,
+                num_partitions=P, hot_salt=hot_salt,
+                salted=frozenset(candidates), tparts=pending_tparts,
+                hot_df=hot_df if sidecar_loaded else None))
+            # no spill ran, so the walls still sum to the stage-2 wall;
+            # segments_s is the task's round trip
+            walls = {"spill_s": 0.0,
+                     "segments_s": round(time.monotonic() - t0, 3)}
+            if not sidecar_loaded:
+                _persist_hot(hot_df)
     else:
-        arrow_bpr = 32.0
-    # scale the batch with P so per-tpart spill files stay chunky
-    # (a 24 MB batch split 512 ways is a 47 KB-file storm), capped at
-    # 64 MB in-memory so batch x concurrency x sort copies stays inside
-    # worker heaps; beyond P~64 prefer shuffle="ray" (object-store
-    # exchange) on real clusters — recorded in the manifest contract
-    _batch_bytes = min(64 << 20, max(24 << 20, (3 << 19) * P))
-    exchange_batch_rows = int(max(10_000, _batch_bytes / arrow_bpr))
-
-    _t_spill_done = None
-    if pending_tparts and n_postings and shuffle == "fs":
-        import shutil as _shutil
-        _shutil.rmtree(exchange_dir, ignore_errors=True)
-        os.makedirs(exchange_dir, exist_ok=True)
-        postings = rd.read_parquet(postings_dir,
-                                   override_num_blocks=exchange_blocks)
-        spill_partials = postings.map_batches(
-            _spill_exchange_block, batch_size=exchange_batch_rows,
-            batch_format="pyarrow",
-            fn_kwargs=dict(exchange_dir=exchange_dir, num_partitions=P,
-                           hot_salt=hot_salt, hot_ref=salt_ref)).take_all()
-        if not sidecar_loaded:
-            # fused exact stats: the spill pass counted every salted
-            # (candidate) term's postings while it split the blocks
-            sums: dict = {}
-            for r in spill_partials:
-                sums[r["term"]] = sums.get(r["term"], 0) + int(r["cnt"])
-            hot_df = sums
-            _persist_hot(hot_df)
-            sidecar_loaded = True
-        del spill_partials
-        _t_spill_done = time.monotonic()
-
-        builder = functools.partial(
-            _build_tpart_from_exchange, exchange_dir=exchange_dir,
-            segments_dir=segments_dir, params=params, hot_df=hot_df)
-        # one block per tpart — from_items alone yields a single block and
-        # would serialize every partition build into one task
-        parts_ds = rd.from_items([{"tpart": p} for p in pending_tparts],
-                                 override_num_blocks=len(pending_tparts))
-        summaries = parts_ds.map_batches(
-            builder, batch_size=1, batch_format="pyarrow",
-            num_cpus=builder_cpus).take_all()
-        if not os.environ.get("SI_KEEP_EXCHANGE"):  # debug: keep spills
-            _shutil.rmtree(exchange_dir, ignore_errors=True)
-    elif pending_tparts and n_postings:  # shuffle == "ray"
-        # Ray-native exchange: assign tparts in a map stage, move blocks
-        # through the object store with a sort-based groupby, build each
-        # pending partition in its map_groups call.  No shared-filesystem
-        # assumption — the correct mode for node-local-disk clusters.
-        pending_ref = ray.put(np.array(sorted(pending_tparts), dtype=np.int32))
-        postings = rd.read_parquet(postings_dir,
-                                   override_num_blocks=exchange_blocks)
-        assigned = postings.map_batches(
-            _assign_pending_batch, batch_size=exchange_batch_rows,
-            batch_format="pyarrow",
-            fn_kwargs=dict(num_partitions=P, hot_salt=hot_salt,
-                           hot_ref=salt_ref, pending_ref=pending_ref))
-        builder = functools.partial(_build_group_ray, segments_dir=segments_dir,
-                                    params=params, hot_df=hot_df)
-        summaries = assigned.groupby("tpart").map_groups(
-            builder, batch_format="pyarrow",
-            num_cpus=builder_cpus).take_all()
-    else:
-        summaries = []
+        summaries, hot_df, walls = _exchange(
+            manifest, post_files, pending_tparts,
+            index_root=index_root, epoch=epoch, postings_dir=postings_dir,
+            segments_dir=segments_dir, shuffle=shuffle,
+            exchange_dir=exchange_dir, post_unc_bytes=post_unc_bytes,
+            num_partitions=P, hot_salt=hot_salt, candidates=candidates,
+            params=params, hot_df=hot_df,
+            persist_hot=None if sidecar_loaded else _persist_hot)
     manifest["segments"].update(_segment_records(
         summaries, pending_tparts if n_postings else []))
 
     _t_build_done = time.monotonic()
-    manifest["exchange"] = {
-        "mode": shuffle,
-        "dir": exchange_dir if shuffle == "fs" else None,
-        "contract": ("exchange dir must be on storage visible to every "
-                     "worker (shared FS / object-store mount) on multi-node "
-                     "clusters" if shuffle == "fs"
-                     else "object-store exchange; no shared storage needed"),
-    }
     manifest["stage_walls"] = {
         "stage1_s": round(_t_stage1_done - t_stage1, 3),
         "stats_and_hot_s": round(_t_stats_done - _t_stage1_done, 3),
         "shuffle_and_segments_s": round(_t_build_done - _t_stats_done, 3),
-        **({"spill_s": round(_t_spill_done - _t_stats_done, 3),
-            "segments_s": round(_t_build_done - _t_spill_done, 3)}
-           if _t_spill_done is not None else {}),
+        **walls,
     }
     return commit_epoch(ed, manifest, n_docs=n_docs, n_postings=n_postings,
                         total_tokens=total_tokens, k1=k1, b=b,
@@ -1579,10 +1689,10 @@ def build_table_index(table: pa.Table, ed: str, *, files: list[str],
     """Index one in-memory table as an epoch's only chunk, in this process
     and without Ray Data — for a table small enough for one task (a delta
     epoch's surviving rows).  Writes the layout ``build_index`` writes:
-    postings from the same emitter, term partitions without hot terms
-    (``num_term_partitions`` defaults to 1), one ``build_segment_group``
-    per partition and the docvalues sidecar; stage-1 postings are not
-    kept.  Every file is written tmp + rename, so a rerun is idempotent.
+    postings from the same emitter, segments from :func:`build_segments`
+    without hot terms (``num_term_partitions`` defaults to 1) and the
+    docvalues sidecar; stage-1 postings are not kept.  Every file is
+    written tmp + rename, so a rerun is idempotent.
     Returns the manifest parts (``chunks``, ``segments``) and the corpus
     stats for :func:`commit_epoch`."""
     t0 = time.monotonic()
@@ -1601,12 +1711,9 @@ def build_table_index(table: pa.Table, ed: str, *, files: list[str],
     if n_postings:
         params = BM25Params(k1=k1, b=b, n_docs=n_docs,
                             avgdl=total_tokens / n_docs)
-        parts = _assign_tpart(posts, num_partitions=P, hot_salt=1,
-                              hot_ref=None)
-        parts = parts.take(pc.sort_indices(parts, [("tpart", "ascending")]))
-        summaries = _build_segments_block(
-            parts, segments_dir=segments_dir, params=params,
-            hot_df={}).to_pylist()
+        summaries, _ = build_segments(posts, segments_dir=segments_dir,
+                                      params=params, num_partitions=P,
+                                      hot_salt=1)
     fields_dir = os.path.join(ed, "fields")
     shutil.rmtree(fields_dir, ignore_errors=True)
     if store_fields:

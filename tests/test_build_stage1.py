@@ -1,5 +1,6 @@
 """Stage 1 of ``build_index`` tokenizes every pending chunk in one Ray Data
-execution.  These tests pin the execution count of a build and check that
+execution.  These tests pin the execution count of a build, on the term
+exchange and on the one-task stage 2 of a small build, and check that
 each chunk's postings, docvalues and manifest record equal an in-process
 reference: ``_emit(extract_batch(...))`` and ``_fields_batch`` run directly
 on that chunk's input files."""
@@ -46,6 +47,8 @@ def _pages(d, n_files=4, per=60, seed=3):
 
 def test_build_runs_three_executions_and_four_with_hot_terms(
         ray_session, tmp_path, monkeypatch):
+    """On the term exchange (the one-task bound set to 0)."""
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
     files = _pages(str(tmp_path / "in"))
     kw = dict(html_col="html", chunk_files=1, num_term_partitions=2,
               store_fields=["lang"])
@@ -68,13 +71,48 @@ def test_build_runs_three_executions_and_four_with_hot_terms(
 
 def test_chain_epoch0_runs_four_executions_and_compaction_three(
         ray_session, tmp_path, monkeypatch):
+    """On the term exchange (the one-task bound set to 0)."""
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
+    _assert_chain_executions(tmp_path, monkeypatch, epoch0=4, compaction=3)
+
+
+def test_small_build_runs_one_execution_and_two_with_hot_terms(
+        ray_session, tmp_path, monkeypatch):
+    """Below the one-task bound stage 2 is one Ray task: no spill or
+    segment execution."""
+    files = _pages(str(tmp_path / "in"))
+    kw = dict(html_col="html", chunk_files=1, num_term_partitions=2,
+              store_fields=["lang"])
+    counts = _counting(monkeypatch)
+    m = build.build_index(files, str(tmp_path / "a"), **kw)
+    assert len(m["chunks"]) == 4
+    assert counts["executions"] == 1
+    assert m["exchange"] == {"mode": "task", "dir": None, "contract": None}
+    assert {"stage1_s", "stats_and_hot_s", "segments_s"} <= \
+        set(m["stage_walls"])
+    assert m["stage_walls"]["spill_s"] == 0.0
+    assert not os.path.exists(os.path.join(build.epoch_dir(
+        str(tmp_path / "a"), 0), "exchange"))
+    counts["executions"] = 0
+    m = build.build_index(files, str(tmp_path / "b"), hot_df_threshold=20,
+                          hot_salt=2, **kw)
+    assert counts["executions"] == 2  # stage 1 + the hot-term candidates
+    assert m["stats"]["hot_terms"]
+
+
+def test_small_chain_epoch0_runs_two_executions_and_compaction_one(
+        ray_session, tmp_path, monkeypatch):
+    _assert_chain_executions(tmp_path, monkeypatch, epoch0=2, compaction=1)
+
+
+def _assert_chain_executions(tmp_path, monkeypatch, *, epoch0, compaction):
     files = _pages(str(tmp_path / "in"), n_files=1, per=200)
     kw = dict(id_col="url", html_col="html", analyzer="standard",
               store_fields=["lang"], num_buckets=4)
     root = str(tmp_path / "chain")
     counts = _counting(monkeypatch)
     apply_delta_epoch(root, None, 0, base_paths=files, **kw)
-    assert counts["executions"] == 4  # snapshot write + the build's 3
+    assert counts["executions"] == epoch0  # snapshot write + the build's
     base = pq.read_table(files[0])
     for epoch in (1, 2):
         upd = base.slice(10 * epoch, 5) \
@@ -85,7 +123,7 @@ def test_chain_epoch0_runs_four_executions_and_compaction_three(
         apply_delta_epoch(root, [p], epoch, mode="delta", **kw)
     counts["executions"] = 0
     compact_chain(root, **{k: v for k, v in kw.items() if k != "num_buckets"})
-    assert counts["executions"] == 3
+    assert counts["executions"] == compaction
     assert epoch_chain(root) == [(3, "full")]
 
 

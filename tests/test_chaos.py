@@ -11,7 +11,8 @@ under a new uid and the exchange contains full duplicates, the exact
 case `_spill_exchange_block`'s contract delegates to the duplicate-row
 fold in `build_segment_group`.  The segments-stage kill loses a builder
 mid-segment — the atomic rename means the retry republishes from the
-spill files.
+spill files, or, in a build below the one-task bound, from the postings
+the retried stage-2 task reads again.
 
 Each run happens in a SUBPROCESS with its own `ray.init`, because the
 SI_CHAOS_DIR env var must be present when the Ray workers are forked
@@ -29,10 +30,13 @@ import json, os, sys
 import ray
 ray.init(address="local", num_cpus=4, include_dashboard=False)
 from search_ingest_ray.corpus import query_set
+from search_ingest_ray.index import build
 from search_ingest_ray.index.build import build_index
 from search_ingest_ray.query.searcher import Searcher
 
 corpus, root = sys.argv[1], sys.argv[2]
+if len(sys.argv) > 3:  # "0" puts this 400-doc build on the term exchange
+    build._TASK_POSTINGS = int(sys.argv[3])
 m = build_index(corpus, root, html_col="html", chunk_files=2,
                 num_term_partitions=4, hot_df_threshold=150, hot_salt=2,
                 with_positions=True, store_fields=["lang"])
@@ -54,6 +58,7 @@ print("RESULT " + json.dumps({
     "stats": {k: st[k][0].as_py() for k in st.column_names},
     "results": results,
     "segments": sorted(m["segments"]),
+    "exchange": m["exchange"]["mode"],
     "killed": sorted(os.listdir(chaos_dir)) if chaos_dir else [],
 }))
 ray.shutdown()
@@ -215,7 +220,7 @@ ray.shutdown()
 
 
 def _run(corpus_dir: str, root: str, chaos_dir: str | None,
-         script: str = _SCRIPT) -> dict:
+         script: str = _SCRIPT, args: tuple = ()) -> dict:
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)
     if chaos_dir:
@@ -223,7 +228,7 @@ def _run(corpus_dir: str, root: str, chaos_dir: str | None,
     else:
         env.pop("SI_CHAOS_DIR", None)
     out = subprocess.run(
-        [sys.executable, "-c", script, corpus_dir, root],
+        [sys.executable, "-c", script, corpus_dir, root, *args],
         capture_output=True, text=True, cwd=REPO, env=env, timeout=600)
     assert out.returncode == 0, out.stderr[-4000:]
     line = [ln for ln in out.stdout.splitlines()
@@ -232,14 +237,34 @@ def _run(corpus_dir: str, root: str, chaos_dir: str | None,
 
 
 def test_worker_death_mid_build_yields_identical_index(corpus_dir, tmp_path):
+    """On the term exchange: the one-task bound is set to 0."""
     chaos_dir = str(tmp_path / "chaos")
     os.makedirs(chaos_dir)
-    clean = _run(corpus_dir, str(tmp_path / "idx_clean"), None)
-    chaos = _run(corpus_dir, str(tmp_path / "idx_chaos"), chaos_dir)
+    clean = _run(corpus_dir, str(tmp_path / "idx_clean"), None, args=("0",))
+    chaos = _run(corpus_dir, str(tmp_path / "idx_chaos"), chaos_dir,
+                 args=("0",))
     # both stage kills actually fired (a worker process really died)
     assert chaos["killed"] == ["killed_segments", "killed_spill",
                                "killed_stage1"]
     assert clean["killed"] == []
+    assert chaos["exchange"] == clean["exchange"] == "fs"
+    assert chaos["stats"] == clean["stats"]
+    assert chaos["segments"] == clean["segments"]
+    assert chaos["results"] == clean["results"]
+
+
+def test_worker_death_in_segments_task_yields_identical_index(corpus_dir,
+                                                              tmp_path):
+    """Below the one-task bound the ``segments`` kill fires inside the
+    stage-2 task; Ray retries the task, which rebuilds every partition
+    (tmp + rename), and the index equals a clean build's."""
+    chaos_dir = str(tmp_path / "chaos")
+    os.makedirs(chaos_dir)
+    clean = _run(corpus_dir, str(tmp_path / "idx_clean"), None)
+    chaos = _run(corpus_dir, str(tmp_path / "idx_chaos"), chaos_dir)
+    assert chaos["killed"] == ["killed_segments", "killed_stage1"]
+    assert clean["killed"] == []
+    assert chaos["exchange"] == clean["exchange"] == "task"
     # ...and the recovered index is indistinguishable from the clean one
     assert chaos["stats"] == clean["stats"]
     assert chaos["segments"] == clean["segments"]

@@ -1,6 +1,8 @@
 """The two stage-2 exchange strategies must produce identical indexes:
 ``fs`` (two-phase filesystem spill, shared-storage contract) and ``ray``
-(object-store sort exchange, no shared-FS assumption)."""
+(object-store sort exchange, no shared-FS assumption).  These corpora are
+below the one-task bound, so each test sets it to 0 to reach the
+exchange."""
 
 import os
 
@@ -8,6 +10,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from search_ingest_ray.index import build
 from search_ingest_ray.index.build import build_index
 from search_ingest_ray.query.searcher import Searcher
 from search_ingest_ray.util import read_json
@@ -30,7 +33,8 @@ def _corpus(tmp_path, n=120):
     return p
 
 
-def test_ray_exchange_matches_fs(ray_session, tmp_path):
+def test_ray_exchange_matches_fs(ray_session, tmp_path, monkeypatch):
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
     p = _corpus(tmp_path)
     root_fs = str(tmp_path / "idx_fs")
     root_ray = str(tmp_path / "idx_ray")
@@ -58,7 +62,8 @@ def test_ray_exchange_matches_fs(ray_session, tmp_path):
         assert np.allclose(sc1, sc2)
 
 
-def test_ray_exchange_resume_skips_done(ray_session, tmp_path):
+def test_ray_exchange_resume_skips_done(ray_session, tmp_path, monkeypatch):
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
     p = _corpus(tmp_path, n=60)
     root = str(tmp_path / "idx")
     kw = dict(analyzer="simple", num_term_partitions=4, chunk_files=1,

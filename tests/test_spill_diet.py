@@ -78,12 +78,16 @@ def test_read_spill_parquet_fallback(tmp_path):
     assert t["salt"].to_pylist() == [2]
 
 
-def test_high_salt_survives_uint8_payload(ray_session, tmp_path):
+def test_high_salt_survives_uint8_payload(ray_session, tmp_path,
+                                          monkeypatch):
     """hot_salt may legally be up to 256; salts ≥ 128 must survive the
-    spill cast (uint8, not int8 — int8 would overflow at 128)."""
+    spill cast (uint8, not int8 — int8 would overflow at 128).  The bound
+    set to 0 puts this small build on the exchange."""
     import pyarrow.parquet as pq
+    from search_ingest_ray.index import build
     from search_ingest_ray.index.build import build_index
     from search_ingest_ray.query.searcher import Searcher
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
 
     n = 80
     texts = [f"hot filler{i % 7}" for i in range(n)]  # 'hot' in every doc
@@ -102,13 +106,17 @@ def test_high_salt_survives_uint8_payload(ray_session, tmp_path):
     assert np.allclose(s1, s2)
 
 
-def test_ray_exchange_multi_block_dictionaries(ray_session, tmp_path):
+def test_ray_exchange_multi_block_dictionaries(ray_session, tmp_path,
+                                               monkeypatch):
     """The ray sort exchange concatenates blocks whose dictionary columns
     carry DIFFERENT per-block dictionaries; identity vs the fs path on a
-    multi-file corpus proves Arrow unification through Ray's shuffle."""
+    multi-file corpus proves Arrow unification through Ray's shuffle.  The
+    bound set to 0 puts this small build on the exchange."""
     import pyarrow.parquet as pq
+    from search_ingest_ray.index import build
     from search_ingest_ray.index.build import build_index
     from search_ingest_ray.query.searcher import Searcher
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
 
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(300)]
