@@ -19,7 +19,7 @@ construction implemented natively:
            assign term partitions (hot terms salted across partitions) →
            delta+varint posting lists with block-max metadata → one
            atomically-written segment file per term partition; a build of
-           at most 256k postings does this in one Ray task
+           at most 1M postings does this in one Ray task
            (``build_segments``), a larger one through the term exchange
   manifest (E11): per-chunk and per-term-partition lineage + metrics; a
            crashed build resumes skipping completed chunks AND completed
@@ -822,9 +822,10 @@ def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
     duplicate data for blocks whose task failed AFTER writing — guarded by
     the duplicate-row fold in build_segment_group).
 
-    Returns per-block EXACT COUNT partials for the salted (candidate)
-    terms (:func:`_assign_and_count`) — the spill already reads every
-    posting row, so no separate exact-stats pass is needed."""
+    Returns one row: the spill files' uid and the block's EXACT COUNT
+    partials for the salted (candidate) terms (:func:`_assign_and_count`)
+    — the spill already reads every posting row, so no separate
+    exact-stats pass is needed."""
     import uuid
     block, partials = _assign_and_count(block, num_partitions=num_partitions,
                                         hot_salt=hot_salt, hot_ref=hot_ref)
@@ -880,7 +881,10 @@ def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
     # duplicate-data case the docstring's contract delegates to the
     # duplicate-row fold in build_segment_group.
     chaos_kill_once("spill")
-    return partials
+    off = pa.array([0, partials.num_rows], pa.int32())
+    return pa.table({"spill": [uid], **{
+        c: pa.ListArray.from_arrays(off, partials[c].combine_chunks())
+        for c in ("term", "cnt")}})
 
 
 _PENDING_CACHE: dict = {}
@@ -952,15 +956,21 @@ def _read_spill(path: str) -> pa.Table:
 
 def _build_tpart_from_exchange(batch: pa.Table, *, exchange_dir: str,
                                segments_dir: str, params: BM25Params,
-                               hot_df: dict) -> pa.Table:
+                               hot_df: dict, spill_rank: dict) -> pa.Table:
     """Reduce side: read one term partition's spill files and build its
-    segment."""
+    segment.  ``spill_rank`` (uid → position of its block in the
+    postings read) orders the files, so a partition's rows arrive in
+    input order and its segment is the same file whatever the block
+    count or task timing; files of a failed attempt come last, where the
+    duplicate-row fold drops their rows."""
     outs = []
     for tpart in batch["tpart"].to_pylist():
         d = os.path.join(exchange_dir, f"tpart={int(tpart):05d}")
         if not os.path.isdir(d):
             continue
-        files = [os.path.join(d, f) for f in sorted(os.listdir(d))
+        files = [os.path.join(d, f) for f in sorted(
+            os.listdir(d), key=lambda f: (
+                spill_rank.get(f.split(".")[0], len(spill_rank)), f))
                  if f.endswith(".parquet") or f.endswith(".arrow")]
         if not files:
             continue
@@ -999,11 +1009,18 @@ def _build_segments_block(block: pa.Table, *, segments_dir: str,
 
 
 # A build with at most this many stage-1 postings builds its segments in one
-# Ray task (:func:`_segments_task`) instead of the term exchange.  Stage 2
-# in one task costs about 0.05 s + 0.8 µs per posting on one core; the
-# exchange's spill and segment executions cost about 0.27 s before any
-# work, so they win only above ~256k postings.
-_TASK_POSTINGS = 1 << 18
+# Ray task (:func:`_segments_task`) instead of the term exchange.  Measured
+# stage-2 walls on a 4-core host (perfbench pages, median of 3), task vs fs
+# exchange, at 142k / 431k / 864k / 1.71M postings: 1 cpu 0.27/0.91,
+# 0.49/0.91, 0.78/1.68, 1.53/2.37 s; 2 cpus 0.20/0.44, 0.45/0.79,
+# 0.86/1.32, 1.68/2.11 s; 4 cpus 0.21/0.44, 0.48/0.62, 0.84/1.01,
+# 1.47/1.43 s.  The exchange's fixed cost is ~0.3 s and its per-posting
+# work divides over the cpus, so the paths cross near 1.5M postings at
+# 4 cpus and not below 1.7M at 1-2; more cpus were not measured and
+# should cross lower.  The task holds ~25 B of Arrow and peaks at
+# ~140 B of RSS per posting (120 MB at 864k), so memory does not force
+# the exchange at this size.
+_TASK_POSTINGS = 1 << 20
 
 
 def build_segments(posts: pa.Table, *, segments_dir: str, params: BM25Params,
@@ -1102,150 +1119,6 @@ def _run_stage1(pending: dict, manifest: dict, manifest_path: str, *,
     manifest["stage1_ray_stats"] = ds.stats()
 
 
-def _exchange(manifest: dict, post_files: list[str], pending_tparts, *,
-              index_root: str, epoch: int, postings_dir: str,
-              segments_dir: str, shuffle: str, exchange_dir: str | None,
-              post_unc_bytes: int, num_partitions: int, hot_salt: int,
-              candidates, params: BM25Params, hot_df: dict,
-              persist_hot) -> tuple[list[dict], dict, dict]:
-    """Stage 2 of a build above ``_TASK_POSTINGS``: move the postings to
-    their term partitions with the ``shuffle`` exchange and build every
-    pending partition's segment.  Records the exchange in ``manifest``.
-    ``persist_hot``: when set, the salted-term df is counted during the
-    exchange and handed to it before any segment is built.  Returns the
-    partition summaries, the salted-term df and the stage walls.
-
-    A filesystem-based two-phase exchange (the classic external shuffle):
-    map tasks split each postings block by tpart and append partitioned
-    spill files; reduce tasks then build each term partition from its
-    spill directory.  Chosen over Ray's built-in sort/hash shuffles after
-    measurement: both moved this exchange at <10 MB/s here (global sort /
-    aggregator-actor overheads), while partitioned spill + direct reads run
-    at disk speed, need no actor reservations (no tiny-cluster deadlocks),
-    and give per-term-partition resume for free."""
-    import functools
-    import shutil
-    P = num_partitions
-    ed = epoch_dir(index_root, epoch)
-    ex_base = exchange_dir or os.environ.get("SI_EXCHANGE_DIR")
-    if ex_base:
-        # namespace per (index, epoch): a shared SI_EXCHANGE_DIR serving
-        # concurrent builds (TableManager.backfill_all) must not let one
-        # build's start/cleanup rmtree destroy another's in-flight spill
-        import hashlib as _hl
-        tag = _hl.sha1(os.path.abspath(index_root).encode()).hexdigest()[:12]
-        exchange_dir = os.path.join(ex_base, f"ex-{tag}-e{epoch:04d}")
-    else:
-        exchange_dir = os.path.join(ed, "exchange")
-    manifest["exchange"] = {
-        "mode": shuffle,
-        "dir": exchange_dir if shuffle == "fs" else None,
-        "contract": ("exchange dir must be on storage visible to every "
-                     "worker (shared FS / object-store mount) on multi-node "
-                     "clusters" if shuffle == "fs"
-                     else "object-store exchange; no shared storage needed"),
-    }
-    if not (pending_tparts and post_files):
-        return [], hot_df, {}
-
-    _cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # builders are memory-bandwidth-bound: reserving 2 CPUs per task on
-    # ≥8-CPU clusters halves concurrent builders and measures ~5% faster
-    # than 1-per-core (SI_BUILDER_CPUS overrides)
-    builder_cpus = float(os.environ.get(
-        "SI_BUILDER_CPUS", "2" if _cluster_cpus >= 8 else "1"))
-    # Exchange-read granularity, re-measured AFTER the assign-stage
-    # vectorization (the earlier small-block advantage was the python
-    # per-term cache loop, now gone): ~24 MB UNCOMPRESSED per block is
-    # the sweet spot with a sharp cliff above ~50 MB (58 MB-compressed
-    # postings: 16 blocks → 7.1 s at 1 cpu / 4.2 s at 4, but 8 blocks →
-    # 29.7 / 9.1 and Ray's default 240 → 12.8 / 7.4).  Floored at the
-    # CPU count so small inputs still use every core.
-    exchange_blocks = int(max(_cluster_cpus,
-                              post_unc_bytes // (24 << 20) + 1))
-    # wave-align (same rationale as the stage-1 read blocks): a partial
-    # final wave idles cores for a whole ~24 MB-block scan
-    exchange_blocks = -(-exchange_blocks // _cluster_cpus) * _cluster_cpus
-    # Ray's parquet reader streams 10k-row record batches out of the read
-    # task, and a fused map_batches(batch_size=None) runs once PER RECORD
-    # BATCH — measured 5,244 spill calls (and 5,244 tiny files per tpart
-    # dir) on the 300k-doc bench where ~32 were intended.  An explicit
-    # rows-per-~24MB batch_size makes the map coalesce to the designed
-    # granularity; the tiny-file read storm on the reduce side goes away.
-    # batch sizing must use ARROW in-memory width, not the parquet
-    # uncompressed footprint: term strings + int64 docids decode to
-    # ~5x the parquet byte count, and a footprint-derived row target
-    # made 660 MB in-memory batches at the 3M-doc scale probe (object
-    # store pressure turned the spill into 166 s of the 257 s build).
-    # The width is sampled from the first 64k rows, not row group 0: a
-    # stage-1 file is one row group of up to 1M rows per input block.
-    _sample = next(pq.ParquetFile(post_files[0]).iter_batches(
-        batch_size=65536))
-    arrow_bpr = max(8.0, _sample.nbytes / max(1, _sample.num_rows))
-    del _sample
-    # scale the batch with P so per-tpart spill files stay chunky
-    # (a 24 MB batch split 512 ways is a 47 KB-file storm), capped at
-    # 64 MB in-memory so batch x concurrency x sort copies stays inside
-    # worker heaps; beyond P~64 prefer shuffle="ray" (object-store
-    # exchange) on real clusters — recorded in the manifest contract
-    _batch_bytes = min(64 << 20, max(24 << 20, (3 << 19) * P))
-    exchange_batch_rows = int(max(10_000, _batch_bytes / arrow_bpr))
-    salt_ref = ray.put(frozenset(candidates))
-    walls: dict = {}
-    t0 = time.monotonic()
-    if shuffle == "fs":
-        shutil.rmtree(exchange_dir, ignore_errors=True)
-        os.makedirs(exchange_dir, exist_ok=True)
-        postings = rd.read_parquet(postings_dir,
-                                   override_num_blocks=exchange_blocks)
-        spill_partials = postings.map_batches(
-            _spill_exchange_block, batch_size=exchange_batch_rows,
-            batch_format="pyarrow",
-            fn_kwargs=dict(exchange_dir=exchange_dir, num_partitions=P,
-                           hot_salt=hot_salt, hot_ref=salt_ref)).take_all()
-        if persist_hot is not None:
-            # the spill counted every salted term's postings while it
-            # split the blocks
-            hot_df = _sum_partials(spill_partials)
-            persist_hot(hot_df)
-        del spill_partials
-        walls["spill_s"] = round(time.monotonic() - t0, 3)
-        t0 = time.monotonic()
-
-        builder = functools.partial(
-            _build_tpart_from_exchange, exchange_dir=exchange_dir,
-            segments_dir=segments_dir, params=params, hot_df=hot_df)
-        # one block per tpart — from_items alone yields a single block and
-        # would serialize every partition build into one task
-        parts_ds = rd.from_items([{"tpart": p} for p in pending_tparts],
-                                 override_num_blocks=len(pending_tparts))
-        summaries = parts_ds.map_batches(
-            builder, batch_size=1, batch_format="pyarrow",
-            num_cpus=builder_cpus).take_all()
-        walls["segments_s"] = round(time.monotonic() - t0, 3)
-        if not os.environ.get("SI_KEEP_EXCHANGE"):  # debug: keep spills
-            shutil.rmtree(exchange_dir, ignore_errors=True)
-    else:  # shuffle == "ray"
-        # Ray-native exchange: assign tparts in a map stage, move blocks
-        # through the object store with a sort-based groupby, build each
-        # pending partition in its map_groups call.  No shared-filesystem
-        # assumption — the correct mode for node-local-disk clusters.
-        pending_ref = ray.put(np.array(sorted(pending_tparts), dtype=np.int32))
-        postings = rd.read_parquet(postings_dir,
-                                   override_num_blocks=exchange_blocks)
-        assigned = postings.map_batches(
-            _assign_pending_batch, batch_size=exchange_batch_rows,
-            batch_format="pyarrow",
-            fn_kwargs=dict(num_partitions=P, hot_salt=hot_salt,
-                           hot_ref=salt_ref, pending_ref=pending_ref))
-        builder = functools.partial(_build_group_ray, segments_dir=segments_dir,
-                                    params=params, hot_df=hot_df)
-        summaries = assigned.groupby("tpart").map_groups(
-            builder, batch_format="pyarrow",
-            num_cpus=builder_cpus).take_all()
-    return summaries, hot_df, walls
-
-
 def build_index(input_paths, index_root: str, *,
                 text_col: str = "text", id_col: str = "url",
                 id_is_int: bool = False, html_col: str | None = None,
@@ -1278,7 +1151,7 @@ def build_index(input_paths, index_root: str, *,
     ``hot_df_threshold`` is reachable by ``n_docs``.
 
     Stage 2 depends on the size of stage 1's output.  A build of at most
-    ``_TASK_POSTINGS`` (256k) postings, fresh and re-linked, builds every
+    ``_TASK_POSTINGS`` (1M) postings, fresh and re-linked, builds every
     pending term partition in ONE Ray task (:func:`build_segments`): it
     reads ``postings/``, assigns partitions with the same ``P``, salt and
     salted set, counts the salted terms' exact df and writes the segments
@@ -1627,55 +1500,194 @@ def build_index(input_paths, index_root: str, *,
     if chunks_changed and manifest["segments"]:
         log.info("input chunks changed; invalidating %d completed segments",
                  len(manifest["segments"]))
+        import shutil as _sh
         manifest["segments"] = {}
-        shutil.rmtree(segments_dir, ignore_errors=True)
+        _sh.rmtree(segments_dir, ignore_errors=True)
         os.makedirs(segments_dir, exist_ok=True)
         atomic_write_json(manifest_path, manifest)
     done_tparts = {int(k) for k, v in manifest["segments"].items()
                    if v.get("status") == "done"} if resume else set()
     pending_tparts = [p for p in range(P) if p not in done_tparts]
 
+    def _finish(summaries: list, walls: dict) -> dict:
+        manifest["segments"].update(_segment_records(
+            summaries, pending_tparts if n_postings else []))
+        manifest["stage_walls"] = {
+            "stage1_s": round(_t_stage1_done - t_stage1, 3),
+            "stats_and_hot_s": round(_t_stats_done - _t_stage1_done, 3),
+            "shuffle_and_segments_s": round(
+                time.monotonic() - _t_stats_done, 3),
+            **walls,
+        }
+        return commit_epoch(ed, manifest, n_docs=n_docs,
+                            n_postings=n_postings, total_tokens=total_tokens,
+                            k1=k1, b=b, analyzer=analyzer,
+                            num_term_partitions=P, hot_salt=hot_salt,
+                            hot_df_threshold=hot_df_threshold,
+                            hot_terms=hot_df)
+
     if in_task:
         manifest["exchange"] = {"mode": "task", "dir": None,
                                 "contract": None}
-        summaries, walls = [], {}
-        if pending_tparts and n_postings:
-            t0 = time.monotonic()
-            summaries, hot_df = ray.get(_segments_task.remote(
-                post_files, segments_dir=segments_dir, params=params,
-                num_partitions=P, hot_salt=hot_salt,
-                salted=frozenset(candidates), tparts=pending_tparts,
-                hot_df=hot_df if sidecar_loaded else None))
-            # no spill ran, so the walls still sum to the stage-2 wall;
-            # segments_s is the task's round trip
-            walls = {"spill_s": 0.0,
-                     "segments_s": round(time.monotonic() - t0, 3)}
-            if not sidecar_loaded:
-                _persist_hot(hot_df)
-    else:
-        summaries, hot_df, walls = _exchange(
-            manifest, post_files, pending_tparts,
-            index_root=index_root, epoch=epoch, postings_dir=postings_dir,
-            segments_dir=segments_dir, shuffle=shuffle,
-            exchange_dir=exchange_dir, post_unc_bytes=post_unc_bytes,
-            num_partitions=P, hot_salt=hot_salt, candidates=candidates,
-            params=params, hot_df=hot_df,
-            persist_hot=None if sidecar_loaded else _persist_hot)
-    manifest["segments"].update(_segment_records(
-        summaries, pending_tparts if n_postings else []))
+        if not (pending_tparts and n_postings):
+            return _finish([], {})
+        t0 = time.monotonic()
+        summaries, hot_df = ray.get(_segments_task.remote(
+            post_files, segments_dir=segments_dir, params=params,
+            num_partitions=P, hot_salt=hot_salt,
+            salted=frozenset(candidates), tparts=pending_tparts,
+            hot_df=hot_df if sidecar_loaded else None))
+        if not sidecar_loaded:
+            _persist_hot(hot_df)
+        # spill_s = 0.0 is a placeholder, not a measured wall (no spill
+        # ran): it keeps the walls summing to the stage-2 wall, and
+        # perfbench counts a missing build.spill_s as a failed operation.
+        # segments_s is the task's round trip.
+        return _finish(summaries, {
+            "spill_s": 0.0, "segments_s": round(time.monotonic() - t0, 3)})
 
+    # --- stage 2b: the term exchange -------------------------------------
+    # A filesystem-based two-phase exchange (the classic external shuffle):
+    # map tasks split each postings block by tpart and append partitioned
+    # Parquet spill files; reduce tasks then build each term partition from
+    # its spill directory.  Chosen over Ray's built-in sort/hash shuffles
+    # after measurement: both moved this exchange at <10 MB/s here (global
+    # sort / aggregator-actor overheads), while partitioned spill + direct
+    # reads run at disk speed, need no actor reservations (no tiny-cluster
+    # deadlocks), and give per-term-partition resume for free.
+    # assignment needs only the salted SET; df values flow to the reduce
+    salt_ref = ray.put(frozenset(candidates))
+    ex_base = exchange_dir or os.environ.get("SI_EXCHANGE_DIR")
+    if ex_base:
+        # namespace per (index, epoch): a shared SI_EXCHANGE_DIR serving
+        # concurrent builds (TableManager.backfill_all) must not let one
+        # build's start/cleanup rmtree destroy another's in-flight spill
+        import hashlib as _hl
+        tag = _hl.sha1(os.path.abspath(index_root).encode()).hexdigest()[:12]
+        exchange_dir = os.path.join(ex_base, f"ex-{tag}-e{epoch:04d}")
+    else:
+        exchange_dir = os.path.join(ed, "exchange")
+
+    import functools
+    _cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
+    # builders are memory-bandwidth-bound: reserving 2 CPUs per task on
+    # ≥8-CPU clusters halves concurrent builders and measures ~5% faster
+    # than 1-per-core (SI_BUILDER_CPUS overrides)
+    builder_cpus = float(os.environ.get(
+        "SI_BUILDER_CPUS", "2" if _cluster_cpus >= 8 else "1"))
+    # Exchange-read granularity, re-measured AFTER the assign-stage
+    # vectorization (the earlier small-block advantage was the python
+    # per-term cache loop, now gone): ~24 MB UNCOMPRESSED per block is
+    # the sweet spot with a sharp cliff above ~50 MB (58 MB-compressed
+    # postings: 16 blocks → 7.1 s at 1 cpu / 4.2 s at 4, but 8 blocks →
+    # 29.7 / 9.1 and Ray's default 240 → 12.8 / 7.4).  Floored at the
+    # CPU count so small inputs still use every core.
+    exchange_blocks = int(max(_cluster_cpus,
+                              post_unc_bytes // (24 << 20) + 1))
+    # wave-align (same rationale as the stage-1 read blocks): a partial
+    # final wave idles cores for a whole ~24 MB-block scan
+    exchange_blocks = -(-exchange_blocks // _cluster_cpus) * _cluster_cpus
+    # Ray's parquet reader streams 10k-row record batches out of the read
+    # task, and a fused map_batches(batch_size=None) runs once PER RECORD
+    # BATCH — measured 5,244 spill calls (and 5,244 tiny files per tpart
+    # dir) on the 300k-doc bench where ~32 were intended.  An explicit
+    # rows-per-~24MB batch_size makes the map coalesce to the designed
+    # granularity; the tiny-file read storm on the reduce side goes away.
+    # batch sizing must use ARROW in-memory width, not the parquet
+    # uncompressed footprint: term strings + int64 docids decode to
+    # ~5x the parquet byte count, and a footprint-derived row target
+    # made 660 MB in-memory batches at the 3M-doc scale probe (object
+    # store pressure turned the spill into 166 s of the 257 s build)
+    if post_files:
+        # the first 64k rows, not row group 0: a stage-1 file is one row
+        # group of up to 1M rows per input block
+        _sample = next(pq.ParquetFile(post_files[0]).iter_batches(
+            batch_size=65536))
+        arrow_bpr = max(8.0, _sample.nbytes / max(1, _sample.num_rows))
+        del _sample
+    else:
+        arrow_bpr = 32.0
+    # scale the batch with P so per-tpart spill files stay chunky
+    # (a 24 MB batch split 512 ways is a 47 KB-file storm), capped at
+    # 64 MB in-memory so batch x concurrency x sort copies stays inside
+    # worker heaps; beyond P~64 prefer shuffle="ray" (object-store
+    # exchange) on real clusters — recorded in the manifest contract
+    _batch_bytes = min(64 << 20, max(24 << 20, (3 << 19) * P))
+    exchange_batch_rows = int(max(10_000, _batch_bytes / arrow_bpr))
+
+    _t_spill_done = None
+    if pending_tparts and n_postings and shuffle == "fs":
+        import shutil as _shutil
+        _shutil.rmtree(exchange_dir, ignore_errors=True)
+        os.makedirs(exchange_dir, exist_ok=True)
+        postings = rd.read_parquet(postings_dir,
+                                   override_num_blocks=exchange_blocks)
+        spill = postings.map_batches(
+            _spill_exchange_block, batch_size=exchange_batch_rows,
+            batch_format="pyarrow",
+            fn_kwargs=dict(exchange_dir=exchange_dir, num_partitions=P,
+                           hot_salt=hot_salt, hot_ref=salt_ref))
+        # blocks come back in read order: it orders the reduce's files
+        spill.context.execution_options.preserve_order = True
+        spilled = spill.take_all()
+        spill_rank = {r["spill"]: i for i, r in enumerate(spilled)}
+        if not sidecar_loaded:
+            # fused exact stats: the spill pass counted every salted
+            # (candidate) term's postings while it split the blocks
+            hot_df = _sum_partials(
+                {"term": t, "cnt": c}
+                for r in spilled for t, c in zip(r["term"], r["cnt"]))
+            _persist_hot(hot_df)
+            sidecar_loaded = True
+        del spilled
+        _t_spill_done = time.monotonic()
+
+        builder = functools.partial(
+            _build_tpart_from_exchange, exchange_dir=exchange_dir,
+            segments_dir=segments_dir, params=params, hot_df=hot_df,
+            spill_rank=spill_rank)
+        # one block per tpart — from_items alone yields a single block and
+        # would serialize every partition build into one task
+        parts_ds = rd.from_items([{"tpart": p} for p in pending_tparts],
+                                 override_num_blocks=len(pending_tparts))
+        summaries = parts_ds.map_batches(
+            builder, batch_size=1, batch_format="pyarrow",
+            num_cpus=builder_cpus).take_all()
+        if not os.environ.get("SI_KEEP_EXCHANGE"):  # debug: keep spills
+            _shutil.rmtree(exchange_dir, ignore_errors=True)
+    elif pending_tparts and n_postings:  # shuffle == "ray"
+        # Ray-native exchange: assign tparts in a map stage, move blocks
+        # through the object store with a sort-based groupby, build each
+        # pending partition in its map_groups call.  No shared-filesystem
+        # assumption — the correct mode for node-local-disk clusters.
+        pending_ref = ray.put(np.array(sorted(pending_tparts), dtype=np.int32))
+        postings = rd.read_parquet(postings_dir,
+                                   override_num_blocks=exchange_blocks)
+        assigned = postings.map_batches(
+            _assign_pending_batch, batch_size=exchange_batch_rows,
+            batch_format="pyarrow",
+            fn_kwargs=dict(num_partitions=P, hot_salt=hot_salt,
+                           hot_ref=salt_ref, pending_ref=pending_ref))
+        builder = functools.partial(_build_group_ray, segments_dir=segments_dir,
+                                    params=params, hot_df=hot_df)
+        summaries = assigned.groupby("tpart").map_groups(
+            builder, batch_format="pyarrow",
+            num_cpus=builder_cpus).take_all()
+    else:
+        summaries = []
     _t_build_done = time.monotonic()
-    manifest["stage_walls"] = {
-        "stage1_s": round(_t_stage1_done - t_stage1, 3),
-        "stats_and_hot_s": round(_t_stats_done - _t_stage1_done, 3),
-        "shuffle_and_segments_s": round(_t_build_done - _t_stats_done, 3),
-        **walls,
+    manifest["exchange"] = {
+        "mode": shuffle,
+        "dir": exchange_dir if shuffle == "fs" else None,
+        "contract": ("exchange dir must be on storage visible to every "
+                     "worker (shared FS / object-store mount) on multi-node "
+                     "clusters" if shuffle == "fs"
+                     else "object-store exchange; no shared storage needed"),
     }
-    return commit_epoch(ed, manifest, n_docs=n_docs, n_postings=n_postings,
-                        total_tokens=total_tokens, k1=k1, b=b,
-                        analyzer=analyzer, num_term_partitions=P,
-                        hot_salt=hot_salt, hot_df_threshold=hot_df_threshold,
-                        hot_terms=hot_df)
+    return _finish(summaries, {
+        "spill_s": round(_t_spill_done - _t_stats_done, 3),
+        "segments_s": round(_t_build_done - _t_spill_done, 3),
+    } if _t_spill_done is not None else {})
 
 
 def build_table_index(table: pa.Table, ed: str, *, files: list[str],

@@ -8,6 +8,7 @@ exchange)."""
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -34,14 +35,19 @@ def _pages(d, n_files=4, per=60, seed=3):
     return paths
 
 
+def _segment_md5s(segments_dir: str) -> dict:
+    segs = {}
+    for tp in sorted(os.listdir(segments_dir)):
+        for f in ("postings.bin", "segment.parquet"):
+            with open(os.path.join(segments_dir, tp, f), "rb") as fh:
+                segs[f"{tp}/{f}"] = hashlib.md5(fh.read()).hexdigest()
+    return segs
+
+
 def _index_state(ed: str) -> dict:
     """What a searcher reads from one epoch: segment files by md5, stats,
     the salted-term df and the docvalues rows."""
-    segs = {}
-    for tp in sorted(os.listdir(os.path.join(ed, "segments"))):
-        for f in ("postings.bin", "segment.parquet"):
-            with open(os.path.join(ed, "segments", tp, f), "rb") as fh:
-                segs[f"{tp}/{f}"] = hashlib.md5(fh.read()).hexdigest()
+    segs = _segment_md5s(os.path.join(ed, "segments"))
     fields = None
     fdir = os.path.join(ed, "fields")
     files = sorted(os.path.join(r, f) for r, _, fs in os.walk(fdir)
@@ -94,6 +100,40 @@ def test_task_segments_equal_exchange_segments(ray_session, tmp_path,
         assert task["hot_df"]["hot_terms"] == task["stats"]["hot_terms"]
 
 
+def test_reduce_reads_spill_files_in_read_order(tmp_path):
+    """A partition that receives several spill files (a build above one
+    exchange batch) still gets the task's segment: the reduce reads the
+    files in the order of the postings read, not in name order."""
+    rng = np.random.default_rng(7)
+    n = 20_000
+    posts = pa.table({
+        "term": pa.array(rng.choice([f"t{i}" for i in range(3000)], n)),
+        "docid": pa.array(rng.integers(0, 10**12, n, dtype=np.int64)),
+        "tf": pa.array(rng.integers(1, 5, n, dtype=np.int32)),
+        "dl": pa.array(rng.integers(50, 500, n, dtype=np.int32)),
+    })
+    params = build.BM25Params(n_docs=1000, avgdl=200.0)
+    ex = str(tmp_path / "ex")
+    blocks = [posts.slice(0, n // 2), posts.slice(n // 2)]
+    uids = [build._spill_exchange_block(
+        blk, exchange_dir=ex, num_partitions=2, hot_salt=1,
+        hot_ref=None)["spill"][0].as_py() for blk in blocks]
+
+    # read order = the block whose uid sorts last first, so name order
+    # can never stand in for it
+    read = sorted(range(2), key=lambda i: uids[i], reverse=True)
+    task = str(tmp_path / "task")
+    build.build_segments(pa.concat_tables([blocks[i] for i in read]),
+                         segments_dir=task, params=params, num_partitions=2,
+                         hot_salt=1)
+    out = str(tmp_path / "exchange")
+    build._build_tpart_from_exchange(
+        pa.table({"tpart": [0, 1]}), exchange_dir=ex, segments_dir=out,
+        params=params, hot_df={},
+        spill_rank={uids[i]: r for r, i in enumerate(read)})
+    assert _segment_md5s(out) == _segment_md5s(task)
+
+
 def test_noop_resume_keeps_task_segments(ray_session, tmp_path, monkeypatch):
     files = _pages(str(tmp_path / "in"))
     kw = dict(html_col="html", chunk_files=1, num_term_partitions=4,
@@ -118,15 +158,21 @@ def test_compaction_with_relinked_chunks(ray_session, tmp_path, monkeypatch):
               store_fields=["lang"], num_buckets=8)
     base = pq.read_table(files[0])
 
+    # one chain, compacted once per path: stage 1 does not fix the row
+    # order of a chunk read from several files (a bucket's snapshot), so
+    # two chains built from the same input can differ in postings order
+    chain = str(tmp_path / "chain")
+    apply_delta_epoch(chain, None, 0, base_paths=files, **kw)
+    upd = base.slice(10, 2) \
+        .append_column("epoch", pa.array([1] * 2, pa.int64())) \
+        .append_column("action", pa.array(["updated"] * 2))
+    p = str(tmp_path / "d1.parquet")
+    pq.write_table(upd, p)
+    apply_delta_epoch(chain, [p], 1, mode="delta", **kw)
+
     def run(name):
         root = str(tmp_path / name)
-        apply_delta_epoch(root, None, 0, base_paths=files, **kw)
-        upd = base.slice(10, 2) \
-            .append_column("epoch", pa.array([1] * 2, pa.int64())) \
-            .append_column("action", pa.array(["updated"] * 2))
-        p = str(tmp_path / f"{name}_d1.parquet")
-        pq.write_table(upd, p)
-        apply_delta_epoch(root, [p], 1, mode="delta", **kw)
+        shutil.copytree(chain, root)
         m = compact_chain(root, **{k: v for k, v in kw.items()
                                    if k != "num_buckets"})
         assert epoch_chain(root) == [(2, "full")]
