@@ -41,8 +41,7 @@ def cmd_build(args) -> int:
             html_col=args.html_col, analyzer=args.analyzer,
             epoch=args.epoch, resume=not args.no_resume,
             with_positions=args.positions,
-            store_fields=args.store_field or None,
-            shuffle=args.shuffle)
+            store_fields=args.store_field or None)
         print(json.dumps({"status": manifest["status"],
                           "stats": manifest["stats"]}, indent=1))
         return 0
@@ -255,8 +254,6 @@ def main(argv=None) -> int:
                    help="positional index (phrase/slop queries)")
     b.add_argument("--store-field", action="append", default=[],
                    help="structured column for filters/docstore (repeatable)")
-    b.add_argument("--shuffle", choices=["fs", "ray"], default=None,
-                   help="term-exchange strategy (default fs)")
     b.set_defaults(fn=cmd_build)
 
     de = sub.add_parser("delta", help="apply one delta epoch (changefeed sync)")

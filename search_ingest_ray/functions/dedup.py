@@ -21,7 +21,6 @@ operators extend it to content-level dedup for training corpora.
 from __future__ import annotations
 
 import functools
-import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -369,28 +368,6 @@ def _perm_params(num_perm: int, seed: int = 7):
     return a, b
 
 
-def _shingle_hashes(text: str, k: int) -> np.ndarray:
-    """Hashes of word k-shingles (simple-analyzed)."""
-    toks = tokenize_simple(text or "")
-    if len(toks) < k:
-        toks = toks + [""] * (k - len(toks))
-    out = np.empty(max(1, len(toks) - k + 1), dtype=np.uint64)
-    for i in range(len(out)):
-        s = " ".join(toks[i:i + k])
-        out[i] = int.from_bytes(
-            hashlib.blake2b(s.encode(), digest_size=8).digest(), "big")
-    return out
-
-
-def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, k: int = 3) -> np.ndarray:
-    """num_perm MinHash values via universal hashing over shingle hashes
-    (vectorized outer product: perms × shingles)."""
-    sh = _shingle_hashes(text, k) % _MERSENNE
-    # (P, S) matrix of (a*x + b) mod p, min over shingles
-    vals = (a[:, None] * sh[None, :] + b[:, None]) % _MERSENNE
-    return vals.min(axis=1)
-
-
 # md5-low64 token hashes (SQL parity: ``md5_number_lower``), cached per
 # process: a Ray task worker is reused across tasks, so every shingle and
 # simhash stage it runs shares one cache over the heavy-tailed vocabulary
@@ -508,16 +485,6 @@ def minhash_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                           key_cols=("band", "band_hash")),
         batch_format="pyarrow")
     return _distinct_pairs(cand)
-
-
-def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
-    """Exact n-gram (word k-shingle) Jaccard similarity — the verification
-    step after LSH candidate generation."""
-    sa = set(map(int, _shingle_hashes(text_a, k)))
-    sb = set(map(int, _shingle_hashes(text_b, k)))
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
 
 
 def dedup_clusters(ds, text_col: str = "text", id_col: str = "doc_id",

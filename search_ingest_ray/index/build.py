@@ -274,9 +274,9 @@ def _chunk_record(files: list[str], *, rows: int, tokens: int,
 def _segment_records(summaries, tparts) -> dict:
     """Manifest ``segments`` entries: one per built term partition, and an
     empty done entry for every other partition of ``tparts`` — a
-    partition that received no postings (possible in ray-shuffle mode,
-    which emits no group for it) still completes, so resume does not
-    re-run the exchange to build nothing."""
+    partition that received no postings (no term hashed to it) still
+    completes, so resume does not re-run the exchange to build
+    nothing."""
     recs = {str(p): {"status": "done", "n_terms": 0, "n_postings": 0,
                      "bytes": 0, "wall_s": 0.0} for p in tparts}
     for s in summaries:
@@ -293,7 +293,6 @@ def _segment_records(summaries, tparts) -> dict:
 # stage-2 helpers
 
 _HOT_CACHE: dict = {}
-_TOTAL_SENTINEL = "\x00__total_tokens__"
 
 
 def _sample_files(files: list[str], target_rows: int) -> tuple[list[str], int]:
@@ -337,34 +336,6 @@ def _hot_candidates_batch(batch: pa.Table, *, threshold: int,
     mask = pc.greater_equal(counts, cut)
     return pa.table({"term": terms.filter(mask),
                      "cnt": counts.filter(mask).cast(pa.int64())})
-
-
-_CAND_CACHE: dict = {}
-
-
-def _exact_stats_batch(batch: pa.Table, *, cand_ref) -> pa.Table:
-    """Per-batch partials: exact counts of candidate terms (+ token sum when
-    a ``tf`` column is present)."""
-    key = cand_ref.hex() if hasattr(cand_ref, "hex") else id(cand_ref)
-    cands = _CAND_CACHE.get(key)
-    if cands is None:
-        if len(_CAND_CACHE) > 16:
-            _CAND_CACHE.clear()
-        lst = ray.get(cand_ref)
-        cands = _CAND_CACHE[key] = pa.array(lst, pa.string()) if lst else None
-    out_t, out_c = [], []
-    if "tf" in batch.column_names:
-        out_t.append(_TOTAL_SENTINEL)
-        out_c.append(int(pc.sum(batch.column("tf")).as_py() or 0))
-    if cands is not None and len(cands):
-        tcol = batch.column("term")
-        mask = pc.is_in(tcol, value_set=cands)
-        vc = pc.value_counts(tcol.filter(mask) if isinstance(tcol, pa.ChunkedArray)
-                             else pc.filter(tcol, mask))
-        out_t.extend(vc.field("values").to_pylist())
-        out_c.extend(vc.field("counts").to_pylist())
-    return pa.table({"term": pa.array(out_t, pa.string()),
-                     "cnt": pa.array(out_c, pa.int64())})
 
 
 _TP_CACHE: dict = {}
@@ -457,10 +428,9 @@ def _assign_tpart(batch: pa.Table, *, num_partitions: int, hot_salt: int,
 
 def build_segment_group(group: pa.Table, *, segments_dir: str,
                         params: BM25Params, hot_df: dict) -> pa.Table:
-    """groupby(tpart).map_groups body: build all posting lists of one term
-    partition and write the segment file atomically (tmp + rename, so task
-    retries are idempotent); returns a one-row summary — the per-partition
-    lineage record (E11).
+    """Build all posting lists of one term partition and write the segment
+    file atomically (tmp + rename, so task retries are idempotent);
+    returns a one-row summary — the per-partition lineage record (E11).
 
     Vectorized AND cache-blocked: the partition is radix-partitioned into
     contiguous term-code ranges of ~``SI_BUCKET_ROWS`` rows each, and the
@@ -488,9 +458,9 @@ def build_segment_group(group: pa.Table, *, segments_dir: str,
             _ph[name] = round(_ph.get(name, 0.0) + (now - _pt), 3)
             _pt = now
 
-    # the group arrives as a zero-copy slice of the sort output — often
-    # hundreds of tiny chunks backed by object-store memory; consolidate
-    # once so every to_numpy below is a single contiguous zero-copy view
+    # the group arrives as the concat of a partition's spill files (or
+    # the one task's table) — one chunk per file; consolidate once so
+    # every to_numpy below is a single contiguous zero-copy view
     group = group.combine_chunks()
     tpart = int(group["tpart"][0].as_py())
     _mark("combine")
@@ -865,10 +835,8 @@ def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
         # small ints compress ~4x under lz4 at ~26 ms per 1M rows
         # round-trip — on a shared memory bus (and as cross-node network
         # traffic at cluster scale) bytes are the scarce resource, CPU
-        # is not.  SI_SPILL_COMPRESS: lz4 (default) | zstd | none.
-        codec = os.environ.get("SI_SPILL_COMPRESS", "lz4")
-        opts = (pa.ipc.IpcWriteOptions() if codec in ("none", "")
-                else pa.ipc.IpcWriteOptions(compression=codec))
+        # is not
+        opts = pa.ipc.IpcWriteOptions(compression="lz4")
         with pa.OSFile(tmp, "wb") as sink:
             with pa.ipc.new_file(sink, sl.schema, options=opts) as w:
                 w.write_table(sl)
@@ -887,71 +855,11 @@ def _spill_exchange_block(block: pa.Table, *, exchange_dir: str,
         for c in ("term", "cnt")}})
 
 
-_PENDING_CACHE: dict = {}
-
-
-def _assign_pending_batch(batch: pa.Table, *, num_partitions: int,
-                          hot_salt: int, hot_ref, pending_ref) -> pa.Table:
-    """Map side of the Ray-native exchange: assign (tpart, salt) and keep
-    only rows bound for PENDING partitions (resume prunes the shuffle)."""
-    out = _assign_tpart(batch, num_partitions=num_partitions,
-                        hot_salt=hot_salt, hot_ref=hot_ref)
-    key = pending_ref.hex() if hasattr(pending_ref, "hex") else id(pending_ref)
-    pending = _PENDING_CACHE.get(key)
-    if pending is None:
-        if len(_PENDING_CACHE) > 16:
-            _PENDING_CACHE.clear()
-        pending = _PENDING_CACHE[key] = ray.get(pending_ref)
-    if len(pending) != num_partitions:
-        mask = np.isin(out["tpart"].to_numpy(), pending)
-        out = out.filter(pa.array(mask))
-    # same payload diet as the fs spill (minus tpart, which the sort
-    # exchange keys on): dictionary-encode term, salt → uint8 — shrinks the
-    # blocks the object-store sort moves; build_segment_group consumes the
-    # dictionary directly after Arrow unifies the per-block dictionaries
-    return out.set_column(
-        out.schema.get_field_index("term"), "term",
-        pc.dictionary_encode(out["term"].combine_chunks())
-    ).set_column(
-        out.schema.get_field_index("docid"), "docid",
-        pc.dictionary_encode(out["docid"].combine_chunks())
-    ).set_column(
-        out.schema.get_field_index("salt"), "salt",
-        pc.cast(out["salt"], pa.uint8()))
-
-
-def _build_group_ray(group: pa.Table, *, segments_dir: str,
-                     params: BM25Params, hot_df: dict) -> pa.Table:
-    """Reduce side of the Ray-native exchange: one map_groups call per term
-    partition (groups arrive as many-chunk zero-copy slices)."""
-    if group.num_rows == 0:
-        return _SUMMARY_SCHEMA.empty_table()
-    return build_segment_group(group, segments_dir=segments_dir,
-                               params=params, hot_df=hot_df)
-
-
 def _read_spill(path: str) -> pa.Table:
-    """Zero-copy-mmap an IPC spill file (parquet fallback for pre-IPC
-    spills) and normalize legacy (pre-diet) schemas so one exchange dir
-    can mix spill generations across a resumed build: drop the redundant
-    tpart column, salt → uint8, term → dictionary."""
-    if path.endswith(".arrow"):
-        with pa.memory_map(path) as src:
-            t = pa.ipc.open_file(src).read_all()
-    else:
-        t = pq.read_table(path)
-    if "tpart" in t.column_names:
-        t = t.drop_columns(["tpart"])
-    if not pa.types.is_uint8(t.schema.field("salt").type):
-        t = t.set_column(t.schema.get_field_index("salt"), "salt",
-                         pc.cast(t["salt"], pa.uint8()))
-    if not pa.types.is_dictionary(t.schema.field("term").type):
-        t = t.set_column(t.schema.get_field_index("term"), "term",
-                         pc.dictionary_encode(t["term"].combine_chunks()))
-    if not pa.types.is_dictionary(t.schema.field("docid").type):
-        t = t.set_column(t.schema.get_field_index("docid"), "docid",
-                         pc.dictionary_encode(t["docid"].combine_chunks()))
-    return t
+    """Zero-copy-mmap one IPC spill file written by
+    :func:`_spill_exchange_block`."""
+    with pa.memory_map(path) as src:
+        return pa.ipc.open_file(src).read_all()
 
 
 def _build_tpart_from_exchange(batch: pa.Table, *, exchange_dir: str,
@@ -971,7 +879,7 @@ def _build_tpart_from_exchange(batch: pa.Table, *, exchange_dir: str,
         files = [os.path.join(d, f) for f in sorted(
             os.listdir(d), key=lambda f: (
                 spill_rank.get(f.split(".")[0], len(spill_rank)), f))
-                 if f.endswith(".parquet") or f.endswith(".arrow")]
+                 if f.endswith(".arrow")]
         if not files:
             continue
         t0 = time.monotonic()
@@ -1134,7 +1042,6 @@ def build_index(input_paths, index_root: str, *,
                 with_positions: bool = False,
                 store_fields: list[str] | None = None,
                 table_config=None,
-                shuffle: str | None = None,
                 exchange_dir: str | None = None,
                 chunk_fingerprints: list[str] | None = None,
                 reuse_from_epoch: int | None = None) -> dict:
@@ -1156,9 +1063,8 @@ def build_index(input_paths, index_root: str, *,
     reads ``postings/``, assigns partitions with the same ``P``, salt and
     salted set, counts the salted terms' exact df and writes the segments
     — the files the exchange would write.  Such a build runs no spill or
-    segment execution and no ``ray``-mode exact-stats pass.  A larger
-    build moves its postings through the ``shuffle`` exchange: ``fs``
-    runs a spill and a segment execution after stage 1.
+    segment execution.  A larger build moves its postings through the
+    term exchange: a spill and a segment execution after stage 1.
 
     ``store_fields``: structured columns (keyword/numeric/date/bool) to
     store in a per-chunk docvalues sidecar (``fields/chunk=N/``, sorted by
@@ -1175,26 +1081,18 @@ def build_index(input_paths, index_root: str, *,
     reference's equivalent_schema?, schemas.cr:88-118) so an equivalent but
     reordered mapping resumes instead of forcing a rebuild (T6).
 
-    ``shuffle``: the stage-2 term-exchange strategy above the one-task
-    bound (``shuffle``, ``exchange_dir`` and ``$SI_SHUFFLE`` do not act
-    below it, where the manifest records ``exchange.mode = "task"``) —
-    - ``"fs"`` (default): two-phase filesystem exchange (map tasks spill
-      per-tpart Parquet, reduce tasks read their partition directory).
-      CONTRACT: ``exchange_dir`` must be visible to every worker — on a
-      multi-node cluster point it (or ``$SI_EXCHANGE_DIR``) at shared
-      storage (NFS / fuse-mounted object store); single-node any local
-      path works.  Chosen as default after measurement: partitioned spill
-      + direct reads run at disk speed and give per-partition resume.
-    - ``"ray"``: Ray Data's own sort-based exchange
-      (``groupby(tpart).map_groups``) — no shared-filesystem requirement
-      (blocks move through the object store), correct on node-local disks,
-      measured slower here.  Selected automatically via ``$SI_SHUFFLE``.
-    The chosen mode and the exchange-dir contract are recorded in the
+    ``exchange_dir``: where the term exchange above the one-task bound
+    spills (default ``<epoch>/exchange``, or ``$SI_EXCHANGE_DIR``; unused
+    below the bound, where the manifest records ``exchange.mode =
+    "task"``).  The exchange is two-phase over the filesystem: map tasks
+    spill per-tpart Arrow IPC files, reduce tasks read their partition
+    directory.  CONTRACT: ``index_root`` and the exchange dir must be
+    visible to every worker — stage 1 and the segment builds write the
+    index root from worker tasks — so on a multi-node cluster both live
+    on shared storage (NFS / fuse-mounted object store); single-node any
+    local path works.  The mode and the contract are recorded in the
     manifest.
     """
-    shuffle = shuffle or os.environ.get("SI_SHUFFLE", "fs")
-    if shuffle not in ("fs", "ray"):
-        raise ValueError(f"unknown shuffle mode {shuffle!r}")
     explicit_chunks: list[list[str]] | None = None
     if isinstance(input_paths, str):
         input_paths = sorted(
@@ -1476,19 +1374,6 @@ def build_index(input_paths, index_root: str, *,
 
     # a small build skips the exchange: one task counts the salted df too
     in_task = n_postings <= _TASK_POSTINGS
-    if (n_postings and candidates and not sidecar_loaded and shuffle == "ray"
-            and not in_task):
-        # ray mode runs assign+shuffle+build as ONE pipeline, so the exact
-        # salted-term df must exist before it starts: keep the projected
-        # term-column pass here (fs mode fuses it into the spill pass)
-        cand_ref = ray.put(sorted(candidates))
-        hot_df = _sum_partials(rd.read_parquet(
-            postings_dir, columns=["term"]).map_batches(
-            _exact_stats_batch, batch_format="pyarrow", batch_size=131072,
-            fn_kwargs=dict(cand_ref=cand_ref)).take_all())
-        hot_df.pop(_TOTAL_SENTINEL, None)  # every SALTED term's exact df
-        _persist_hot(hot_df)
-        sidecar_loaded = True
     avgdl = (total_tokens / n_docs) if n_docs else 1.0
     params = BM25Params(k1=k1, b=b, n_docs=n_docs, avgdl=avgdl)
     _t_stats_done = time.monotonic()
@@ -1548,9 +1433,9 @@ def build_index(input_paths, index_root: str, *,
 
     # --- stage 2b: the term exchange -------------------------------------
     # A filesystem-based two-phase exchange (the classic external shuffle):
-    # map tasks split each postings block by tpart and append partitioned
-    # Parquet spill files; reduce tasks then build each term partition from
-    # its spill directory.  Chosen over Ray's built-in sort/hash shuffles
+    # map tasks split each postings block by tpart and write one Arrow IPC
+    # spill file per partition; reduce tasks then build each term
+    # partition from its spill directory.  Chosen over Ray's built-in sort/hash shuffles
     # after measurement: both moved this exchange at <10 MB/s here (global
     # sort / aggregator-actor overheads), while partitioned spill + direct
     # reads run at disk speed, need no actor reservations (no tiny-cluster
@@ -1572,9 +1457,8 @@ def build_index(input_paths, index_root: str, *,
     _cluster_cpus = int(ray.cluster_resources().get("CPU", 8))
     # builders are memory-bandwidth-bound: reserving 2 CPUs per task on
     # ≥8-CPU clusters halves concurrent builders and measures ~5% faster
-    # than 1-per-core (SI_BUILDER_CPUS overrides)
-    builder_cpus = float(os.environ.get(
-        "SI_BUILDER_CPUS", "2" if _cluster_cpus >= 8 else "1"))
+    # than 1-per-core
+    builder_cpus = 2 if _cluster_cpus >= 8 else 1
     # Exchange-read granularity, re-measured AFTER the assign-stage
     # vectorization (the earlier small-block advantage was the python
     # per-term cache loop, now gone): ~24 MB UNCOMPRESSED per block is
@@ -1610,13 +1494,12 @@ def build_index(input_paths, index_root: str, *,
     # scale the batch with P so per-tpart spill files stay chunky
     # (a 24 MB batch split 512 ways is a 47 KB-file storm), capped at
     # 64 MB in-memory so batch x concurrency x sort copies stays inside
-    # worker heaps; beyond P~64 prefer shuffle="ray" (object-store
-    # exchange) on real clusters — recorded in the manifest contract
+    # worker heaps
     _batch_bytes = min(64 << 20, max(24 << 20, (3 << 19) * P))
     exchange_batch_rows = int(max(10_000, _batch_bytes / arrow_bpr))
 
     _t_spill_done = None
-    if pending_tparts and n_postings and shuffle == "fs":
+    if pending_tparts and n_postings:
         import shutil as _shutil
         _shutil.rmtree(exchange_dir, ignore_errors=True)
         os.makedirs(exchange_dir, exist_ok=True)
@@ -1655,34 +1538,14 @@ def build_index(input_paths, index_root: str, *,
             num_cpus=builder_cpus).take_all()
         if not os.environ.get("SI_KEEP_EXCHANGE"):  # debug: keep spills
             _shutil.rmtree(exchange_dir, ignore_errors=True)
-    elif pending_tparts and n_postings:  # shuffle == "ray"
-        # Ray-native exchange: assign tparts in a map stage, move blocks
-        # through the object store with a sort-based groupby, build each
-        # pending partition in its map_groups call.  No shared-filesystem
-        # assumption — the correct mode for node-local-disk clusters.
-        pending_ref = ray.put(np.array(sorted(pending_tparts), dtype=np.int32))
-        postings = rd.read_parquet(postings_dir,
-                                   override_num_blocks=exchange_blocks)
-        assigned = postings.map_batches(
-            _assign_pending_batch, batch_size=exchange_batch_rows,
-            batch_format="pyarrow",
-            fn_kwargs=dict(num_partitions=P, hot_salt=hot_salt,
-                           hot_ref=salt_ref, pending_ref=pending_ref))
-        builder = functools.partial(_build_group_ray, segments_dir=segments_dir,
-                                    params=params, hot_df=hot_df)
-        summaries = assigned.groupby("tpart").map_groups(
-            builder, batch_format="pyarrow",
-            num_cpus=builder_cpus).take_all()
     else:
         summaries = []
     _t_build_done = time.monotonic()
     manifest["exchange"] = {
-        "mode": shuffle,
-        "dir": exchange_dir if shuffle == "fs" else None,
-        "contract": ("exchange dir must be on storage visible to every "
-                     "worker (shared FS / object-store mount) on multi-node "
-                     "clusters" if shuffle == "fs"
-                     else "object-store exchange; no shared storage needed"),
+        "mode": "fs", "dir": exchange_dir,
+        "contract": ("index root and exchange dir must be on storage "
+                     "visible to every worker (shared FS / object-store "
+                     "mount) on multi-node clusters"),
     }
     return _finish(summaries, {
         "spill_s": round(_t_spill_done - _t_stats_done, 3),

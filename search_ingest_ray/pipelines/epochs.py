@@ -450,8 +450,7 @@ _SEGMENT_OPTIONS = frozenset({"k1", "b", "with_positions", "store_fields",
                               "field_shards", "num_term_partitions"})
 _DELTA_IGNORED = frozenset({"table_config", "chunk_files", "batch_size",
                             "hot_df_threshold", "hot_salt",
-                            "hot_candidate_cap", "shuffle", "exchange_dir",
-                            "resume"})
+                            "hot_candidate_cap", "exchange_dir", "resume"})
 
 
 def _segment_options(index_root: str, epoch: int, files: list[str], *,

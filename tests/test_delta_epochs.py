@@ -488,8 +488,12 @@ def test_delta_epoch_checks_its_build_options(ray_session, base_dir,
                           **{**KW, "store_fields": ["text"]})
     assert not os.path.exists(os.path.join(root, "epochs", "e0001"))
     assert not os.path.exists(snapshot_dir(root, 1))
+    # ``shuffle`` is no build option: refused, as build_index refuses it
+    with pytest.raises(TypeError, match="shuffle"):
+        apply_delta_epoch(root, d1, 1, mode="delta",
+                          **{**KW, "shuffle": "fs"})
     # the Ray Data build's own options are accepted and ignored
     m = apply_delta_epoch(root, d1, 1, mode="delta",
-                          **{**KW, "shuffle": "ray", "chunk_files": 2})
+                          **{**KW, "hot_salt": 4, "chunk_files": 2})
     assert m["status"] == "done" and m["stats"]["n_docs"] == 1
     assert epoch_chain(root) == [(0, "full"), (1, "delta")]

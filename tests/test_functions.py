@@ -6,8 +6,8 @@ import pyarrow as pa
 import pytest
 
 from search_ingest_ray.functions.dedup import (
-    exact_dedup, hamming64, jaccard, minhash_candidate_pairs,
-    minhash_signature, _perm_params, simhash64, simhash_candidates,
+    exact_dedup, hamming64, minhash_candidate_pairs, simhash64,
+    simhash_candidates,
 )
 from search_ingest_ray.functions.similarity import ann_lsh, knn_cosine
 from search_ingest_ray.functions.textstats import (
@@ -77,9 +77,6 @@ def test_minhash_similar_docs_are_candidates(rd):
     got = {tuple(r) for r in pairs[["a", "b"]].values.tolist()}
     assert (1, 2) in got
     assert (1, 3) not in got and (2, 3) not in got
-    # verification step: jaccard agrees
-    assert jaccard(base, near) > 0.5
-    assert jaccard(base, far) < 0.1
 
 
 def test_dedup_clusters_transitive(rd):
@@ -134,13 +131,6 @@ def test_dedup_clusters_distributed_matches_driver(rd):
     assert d2[10] == d2[11] == d2[12] == 10
     assert d2[13] == d2[14] == 13
     assert d2[15] == 15
-
-
-def test_minhash_signature_deterministic():
-    a, b = _perm_params(16)
-    s1 = minhash_signature("hello world foo bar", a, b)
-    s2 = minhash_signature("hello world foo bar", a, b)
-    assert np.array_equal(s1, s2)
 
 
 def test_simhash_near_dup(rd):

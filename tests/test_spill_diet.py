@@ -1,7 +1,6 @@
-"""Exchange payload diet: spill files ship dictionary-encoded terms,
-uint8 salts and no tpart column; `_read_spill` normalizes legacy
-(pre-diet) spills so one exchange directory can mix generations across a
-resumed build."""
+"""Exchange payload diet: spill files ship dictionary-encoded terms and
+docids, uint8 salts and no tpart column; the reduce's concat of a
+partition's spill files unifies their per-file dictionaries."""
 
 import os
 
@@ -19,36 +18,23 @@ def _write_ipc(path, table):
             w.write_table(table)
 
 
-def test_read_spill_normalizes_legacy_and_new(tmp_path):
-    # legacy generation: plain string term, int32 salt, redundant tpart
-    legacy = pa.table({
-        "term": pa.array(["a", "b", "a"], pa.string()),
-        "docid": pa.array([1, 2, 3], pa.int64()),
-        "tf": pa.array([1, 1, 2], pa.int32()),
-        "dl": pa.array([5, 5, 5], pa.int32()),
-        "salt": pa.array([0, 0, 0], pa.int32()),
-        "tpart": pa.array([7, 7, 7], pa.int32()),
-    })
-    # diet generation: dictionary term, uint8 salt, no tpart
-    diet = pa.table({
-        "term": pc.dictionary_encode(pa.array(["b", "c"], pa.string())),
-        "docid": pa.array([4, 5], pa.int64()),
-        "tf": pa.array([3, 1], pa.int32()),
-        "dl": pa.array([6, 6], pa.int32()),
-        "salt": pa.array([0, 0], pa.uint8()),
-    })
-    p1 = str(tmp_path / "legacy.arrow")
-    p2 = str(tmp_path / "diet.arrow")
-    _write_ipc(p1, legacy)
-    _write_ipc(p2, diet)
+def test_spill_dictionaries_unify_on_concat(tmp_path):
+    # two diet spills of one partition, each with its own dictionaries
+    def diet(terms, docids):
+        return pa.table({
+            "term": pc.dictionary_encode(pa.array(terms, pa.string())),
+            "docid": pc.dictionary_encode(pa.array(docids, pa.int64())),
+            "tf": pa.array([1] * len(terms), pa.int32()),
+            "dl": pa.array([5] * len(terms), pa.int32()),
+            "salt": pa.array([0] * len(terms), pa.uint8()),
+        })
+    p1 = str(tmp_path / "a.arrow")
+    p2 = str(tmp_path / "b.arrow")
+    _write_ipc(p1, diet(["a", "b", "a"], [1, 2, 3]))
+    _write_ipc(p2, diet(["b", "c"], [4, 5]))
 
     t1, t2 = _read_spill(p1), _read_spill(p2)
-    # both normalize to the same schema, so the reduce-side concat works
     assert t1.schema == t2.schema
-    assert "tpart" not in t1.column_names
-    assert pa.types.is_uint8(t1.schema.field("salt").type)
-    assert pa.types.is_dictionary(t1.schema.field("term").type)
-
     group = pa.concat_tables([t1, t2]).combine_chunks()
     col = group.column("term").combine_chunks()
     # unified dictionary is deduplicated — one code per distinct term
@@ -57,25 +43,7 @@ def test_read_spill_normalizes_legacy_and_new(tmp_path):
     assert len(col.dictionary) == len(set(col.dictionary.to_pylist()))
     decoded = pc.cast(col, pa.string()).to_pylist()
     assert decoded == ["a", "b", "a", "b", "c"]
-    assert group["docid"].to_pylist() == [1, 2, 3, 4, 5]
-
-
-def test_read_spill_parquet_fallback(tmp_path):
-    import pyarrow.parquet as pq
-    legacy = pa.table({
-        "term": pa.array(["x"], pa.string()),
-        "docid": pa.array([9], pa.int64()),
-        "tf": pa.array([1], pa.int32()),
-        "dl": pa.array([1], pa.int32()),
-        "salt": pa.array([2], pa.int32()),
-        "tpart": pa.array([0], pa.int32()),
-    })
-    p = str(tmp_path / "old.parquet")
-    pq.write_table(legacy, p)
-    t = _read_spill(p)
-    assert "tpart" not in t.column_names
-    assert pa.types.is_dictionary(t.schema.field("term").type)
-    assert t["salt"].to_pylist() == [2]
+    assert pc.cast(group["docid"], pa.int64()).to_pylist() == [1, 2, 3, 4, 5]
 
 
 def test_high_salt_survives_uint8_payload(ray_session, tmp_path,
@@ -106,22 +74,21 @@ def test_high_salt_survives_uint8_payload(ray_session, tmp_path,
     assert np.allclose(s1, s2)
 
 
-def test_ray_exchange_multi_block_dictionaries(ray_session, tmp_path,
-                                               monkeypatch):
-    """The ray sort exchange concatenates blocks whose dictionary columns
-    carry DIFFERENT per-block dictionaries; identity vs the fs path on a
-    multi-file corpus proves Arrow unification through Ray's shuffle.  The
-    bound set to 0 puts this small build on the exchange."""
+def test_exchange_multi_block_dictionaries(ray_session, tmp_path,
+                                           monkeypatch):
+    """Each spill file carries its own term and docid dictionaries; the
+    reduce concatenates a partition's files, so identity with the one-task
+    path on a multi-file corpus proves the concat unifies them.  The
+    bound set to 0 puts the second build on the exchange."""
     import pyarrow.parquet as pq
     from search_ingest_ray.index import build
     from search_ingest_ray.index.build import build_index
     from search_ingest_ray.query.searcher import Searcher
-    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
 
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(300)]
     paths = []
-    for f in range(8):  # 8 files → several blocks through the sort
+    for f in range(8):  # 8 files → several spill files per partition
         texts = [" ".join(rng.choice(vocab, size=rng.integers(10, 60)))
                  + " hot" for _ in range(150)]
         p = str(tmp_path / f"d{f}.parquet")
@@ -130,9 +97,12 @@ def test_ray_exchange_multi_block_dictionaries(ray_session, tmp_path,
         paths.append(p)
     kw = dict(analyzer="simple", num_term_partitions=6, chunk_files=4,
               hot_df_threshold=300, hot_salt=4)
-    r1, r2 = str(tmp_path / "fs"), str(tmp_path / "ray")
-    build_index(paths, r1, shuffle="fs", **kw)
-    build_index(paths, r2, shuffle="ray", **kw)
+    r1, r2 = str(tmp_path / "task"), str(tmp_path / "fs")
+    m1 = build_index(paths, r1, **kw)
+    monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
+    m2 = build_index(paths, r2, **kw)
+    assert m1["exchange"]["mode"] == "task"
+    assert m2["exchange"]["mode"] == "fs"
     s1, s2 = Searcher(r1), Searcher(r2)
     for q in (["hot"], ["w1", "w2"], ["hot", "w3", "w17"]):
         d1, sc1 = s1.search_terms(q, k=25)
@@ -168,8 +138,38 @@ def test_spill_bytes_per_posting_budget(ray_session, tmp_path):
                 for p in glob.glob(d + "/**/*.arrow", recursive=True))
     per_posting = total / n
     # this uniform-random batch measures 19.2 B/posting with the diet
-    # alone and 13.2 with the default lz4 buffer compression (pre-diet
+    # alone and 13.2 with the spill's lz4 buffer compression (pre-diet
     # payload was ~32.5; real Zipf corpora compress further).  16
-    # catches a regression of either the diet or the compression
-    # default.
+    # catches a regression of either the diet or the compression.
     assert per_posting < 16.0, f"{per_posting:.1f} B/posting — diet regressed?"
+
+
+def test_profile_tool_reads_a_spilled_partition(tmp_path):
+    """``tools/profile_stage2.py one_build`` loads one tpart directory of
+    spill files and runs the segment build on it."""
+    import importlib.util
+    from search_ingest_ray.index.build import _spill_exchange_block
+
+    spec = importlib.util.spec_from_file_location(
+        "profile_stage2", os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "tools", "profile_stage2.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    rng = np.random.default_rng(3)
+    n = 5_000
+    tbl = pa.table({
+        "term": pa.array(rng.choice([f"t{i}" for i in range(50)], size=n)),
+        "docid": pa.array(rng.integers(0, 300, size=n, dtype=np.int64)),
+        "tf": pa.array(np.ones(n, np.int32)),
+        "dl": pa.array(np.full(n, 20, np.int32)),
+    })
+    ex = tmp_path / "ex"
+    for half in (tbl.slice(0, n // 2), tbl.slice(n // 2)):  # two spills
+        _spill_exchange_block(half, exchange_dir=str(ex), num_partitions=2,
+                              hot_salt=1, hot_ref=None)
+    d = sorted(ex.iterdir())[0]
+    assert len(list(d.glob("*.arrow"))) == 2
+    r = tool.one_build(str(d), str(tmp_path / "seg"))
+    assert 0 < r["rows"] < n
+    assert os.path.exists(tmp_path / "seg" / d.name / "segment.parquet")

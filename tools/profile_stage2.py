@@ -45,7 +45,7 @@ def one_build(tpart_dir: str, out_dir: str, res: dict | None = None) -> dict:
 
     t0 = time.monotonic()
     files = [os.path.join(tpart_dir, f) for f in sorted(os.listdir(tpart_dir))
-             if f.endswith((".parquet", ".arrow"))]
+             if f.endswith(".arrow")]
     group = pa.concat_tables([B._read_spill(f) for f in files])
     import numpy as np
     tpart = int(os.path.basename(tpart_dir).split("=")[1])
