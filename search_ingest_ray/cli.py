@@ -74,25 +74,29 @@ def cmd_delta(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from .query.searcher import Searcher
-    s = Searcher(args.index_root, epoch=args.epoch)
-    d, sc = s.search(args.query, k=args.k)
-    for rank, (docid, score) in enumerate(zip(d.tolist(), sc.tolist()), 1):
-        print(json.dumps({"rank": rank, "docid": docid,
-                          "score": round(score, 6)}))
+    """One query through a :class:`ServeSession`: the latest epoch, or the
+    whole delta chain (``--epoch`` pins one full epoch)."""
+    from .serve import ServeSession
+    resp = ServeSession(args.index_root, epoch=args.epoch,
+                        warm=False).handle({"query": args.query, "k": args.k})
+    if not resp["ok"]:
+        print(resp["error"], file=sys.stderr)
+        return 1
+    for h in resp["hits"]:
+        print(json.dumps({"rank": h["rank"], "docid": h["doc_id"],
+                          "score": round(h["score"], 6)}))
     return 0
 
 
 def cmd_serve(args) -> int:
     """Long-lived query daemon on stdin/stdout (api.cr always-on analog):
-    warmed Searcher(s) for the process lifetime, JSONL request protocol
+    warmed session(s) for the process lifetime, JSONL request protocol
     (see serve.py).  Default inline mode needs no Ray session (mmap +
     numpy); ``--actors N`` serves through a Ray actor pool (throughput)."""
     from .serve import ServePool
     ray, owned = _ray_session() if args.actors else (None, False)
     try:
-        sp = ServePool(args.index_root, epoch=args.epoch, pool=args.pool,
-                       actors=args.actors)
+        sp = ServePool(args.index_root, epoch=args.epoch, actors=args.actors)
         served = sp.run(sys.stdin, sys.stdout)
         print(json.dumps({"served": served}), file=sys.stderr)
         return 0
@@ -270,20 +274,22 @@ def main(argv=None) -> int:
     de.add_argument("--num-buckets", type=int, default=16)
     de.set_defaults(fn=cmd_delta)
 
-    q = sub.add_parser("query", help="BM25 top-k")
+    q = sub.add_parser("query", help="BM25 top-k (latest epoch or chain)")
     q.add_argument("index_root")
     q.add_argument("query")
     q.add_argument("-k", type=int, default=10)
-    q.add_argument("--epoch", type=int, default=0)
+    q.add_argument("--epoch", type=int, default=None,
+                   help="pin one full epoch (default: the latest epoch, "
+                        "or the whole delta chain)")
     q.set_defaults(fn=cmd_query)
 
-    sv = sub.add_parser("serve", help="long-lived JSONL query daemon")
+    sv = sub.add_parser("serve", help="long-lived JSONL query daemon "
+                        "(inline, or a Ray actor pool with --actors)")
     sv.add_argument("index_root")
     sv.add_argument("--epoch", type=int, default=None)
-    sv.add_argument("--pool", type=int, default=1,
-                    help="searcher thread-pool size (>1: concurrent scoring)")
     sv.add_argument("--actors", type=int, default=0,
-                    help="Ray actor-pool size (throughput serving mode)")
+                    help="Ray actor-pool size (throughput serving mode; "
+                         "0 = inline)")
     sv.set_defaults(fn=cmd_serve)
 
     ht = sub.add_parser("http", help="HTTP service (management + query)")

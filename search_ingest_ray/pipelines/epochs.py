@@ -575,6 +575,15 @@ def epoch_chain(index_root: str) -> list[tuple[int, str]]:
     return out[last_full:]
 
 
+def epoch_mode(index_root: str, epoch: int) -> str:
+    """``"delta"`` if ``epoch`` was recorded as a delta epoch, else
+    ``"full"`` (also for epochs built outside the chain record)."""
+    chain_path = os.path.join(index_root, "epochs.json")
+    if not os.path.exists(chain_path):
+        return "full"
+    return read_json(chain_path).get("modes", {}).get(str(epoch), "full")
+
+
 def compact_chain(index_root: str, *, id_col: str = "url",
                   text_col: str = "text", html_col: str | None = None,
                   id_is_int: bool = False, analyzer: str = "standard",

@@ -12,7 +12,7 @@ updated/deleted).  A query:
    epoch's DEAD-TERM PATCH (``df_patch/``, written during the O(delta)
    old-version retokenize in ``pipelines/epochs.py``) counts the postings
    the term loses to dead-docid suppression in earlier epochs;
-3. runs the same two-phase exact MaxScore as ``Searcher.search_terms``,
+3. runs the two-phase exact MaxScore of ``Searcher.search_terms``,
    with each term's upper bound made sound under the CURRENT stats by a
    per-(epoch,list) CORRECTION FACTOR:  stored ``max_score = max
    idf(df_e,N_e) · tfnorm(tf,dl; avgdl_e)``, and for every (tf, dl)
@@ -30,11 +30,13 @@ updated/deleted).  A query:
    exact CURRENT global stats (cum_stats.json).
 
 Result: rank- AND score-identical to a from-scratch rebuild of the final
-snapshot — verified by ``tests/test_delta_epochs.py`` (the MaxScore
-exactness argument from ``searcher.py`` transfers verbatim: every true
-top-k doc survives candidacy in all its terms and is scored exactly).
-Chains whose delta epochs predate the patch format fall back to full
-decode.  Compaction (a ``mode="full"`` epoch) collapses the chain.
+snapshot — verified by ``tests/test_delta_epochs.py``.  Steps 3-4 run in
+``searcher.maxscore_topk``, the MaxScore driver of single-epoch queries,
+fed with every epoch's lists, their dead sets and the corrected bounds
+(its exactness argument holds verbatim: every true top-k doc survives
+candidacy in all its terms and is scored exactly).  Every recorded delta
+epoch must carry its committed patch.  Compaction (a ``mode="full"``
+epoch) collapses the chain.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ import numpy as np
 from ..pipelines.epochs import epoch_chain, epoch_dir
 from ..util import read_json
 from .bm25 import BM25Params, idf, term_scores
-from .searcher import Searcher, _isin_sorted_i64 as _isin_sorted, _merge_acc
+from .searcher import (Searcher, _isin_sorted_i64 as _isin_sorted,
+                       _merge_acc, maxscore_topk)
 
 
 def _topk_from_parts(part_d, part_s, k):
@@ -102,16 +105,14 @@ class MultiEpochSearcher:
         # is O(that delta's vocabulary) — the same order as the delta
         # epoch's own term dictionary, which the searcher holds anyway.
         self.patches: list[dict[str, int]] = []
-        self.pruning_ok = True
         for e, mode in self.chain:
             if mode == "full":
                 self.patches.append({})
                 continue
             pd_ = os.path.join(epoch_dir(index_root, e), "df_patch")
             if not os.path.exists(os.path.join(pd_, "_DONE")):
-                self.patches.append({})
-                self.pruning_ok = False  # pre-patch chain: full decode
-                continue
+                raise ValueError(f"delta epoch {e} of {index_root} has no "
+                                 "committed df_patch/")
             import pyarrow as pa
             import pyarrow.parquet as pq
             tables = [pq.read_table(os.path.join(pd_, f))
@@ -127,13 +128,10 @@ class MultiEpochSearcher:
                     (int(c) for c in agg[f"{cnt_col}_sum"].to_pylist())))
             self.patches.append(patch)
 
-    def _surviving_lists(self, term: str, filters: dict | None = None):
+    def _surviving_lists(self, term: str):
         """(docids, tfs, dls, df) of the term across the chain after
         dead-docid suppression — each docid appears at most once (its live
-        version).  ``df`` is the SUPPRESSED-but-UNFILTERED count (ES filter
-        semantics: filters restrict candidates, never the statistics);
-        filter predicates evaluate against each doc's LIVE epoch's
-        docvalues."""
+        version), fully decoded; ``df`` is the surviving count."""
         ds, tfs, dls = [], [], []
         df = 0
         for _, s, dead_after in self.entries:
@@ -149,11 +147,6 @@ class MultiEpochSearcher:
                         continue
                     d, tf, dl = d[keep], tf[keep], dl[keep]
                 df += int(d.size)
-                if filters:
-                    m = s.fields.mask(d.astype(np.int64), filters)
-                    if not m.any():
-                        continue
-                    d, tf, dl = d[m], tf[m], dl[m]
                 ds.append(d)
                 tfs.append(tf)
                 dls.append(dl)
@@ -163,135 +156,59 @@ class MultiEpochSearcher:
         return (np.concatenate(ds), np.concatenate(tfs),
                 np.concatenate(dls), df)
 
-    def chain_df(self, term: str) -> int:
-        """Exact chain-wide df from term-dictionary metadata + dead-term
-        patches — no posting decode (module docstring step 2).  Equals the
-        surviving-posting count ``_surviving_lists`` would measure."""
+    def _term_rows(self, term: str):
+        """(``[(searcher, dead_after, rows)]``, chain df) of one term from
+        term-dictionary metadata + dead-term patches — no posting decode
+        (module docstring step 2).  Salted sub-lists all carry the same
+        global df."""
+        rows_by_entry = []
         total = 0
-        for _, s, _ in self.entries:
+        for _, s, dead_after in self.entries:
             if s is None:
                 continue
             rows = s._lookup([term]).get(term) or []
-            if rows:  # salted sub-lists all carry the same global df
+            if rows:
+                rows_by_entry.append((s, dead_after, rows))
                 total += int(rows[0]["df"])
-        return total - sum(pat.get(term, 0) for pat in self.patches)
+        return rows_by_entry, total - sum(pat.get(term, 0)
+                                          for pat in self.patches)
+
+    def chain_df(self, term: str) -> int:
+        """Exact chain-wide df; equals the surviving-posting count
+        ``_surviving_lists`` would measure."""
+        return self._term_rows(term)[1]
 
     def search_terms(self, terms: list[str], k: int = 10,
                      filters: dict | None = None):
         """Exact top-k over the epoch chain; identical semantics (and
-        results) to ``Searcher.search_terms`` on a full rebuild.  When
-        every delta epoch carries its dead-term patch, posting blocks are
-        pruned with corrected block-max bounds (module docstring steps
-        2-3); otherwise falls back to full decode."""
+        results) to ``Searcher.search_terms`` on a full rebuild.  Posting
+        blocks are pruned with corrected block-max bounds (module
+        docstring steps 2-3); filters evaluate against each list's own
+        epoch's docvalues."""
         mult: dict[str, int] = {}
         for t in terms:
             mult[t] = mult.get(t, 0) + 1
         p = self.params
-        all_d: list[np.ndarray] = []
-        all_s: list[np.ndarray] = []
-        if not self.pruning_ok:
-            for t, m in mult.items():
-                d, tf, dl, df = self._surviving_lists(t, filters=filters)
-                if d.size == 0 or df == 0:
-                    continue
-                all_d.append(d.astype(np.int64))
-                all_s.append(m * term_scores(tf, dl, df, p))
-            return _topk_from_parts(all_d, all_s, k)
-
         INFL = 1.0 + 1e-6  # float32-stored maxes may round down
-        info = []  # (term, mult, [(entry_idx, rows)], df, ub)
+        info = []  # (mult, df, ub, [(searcher, row, dead_after)])
         for t, m in mult.items():
-            rows_by_entry = []
-            sum_df = 0
-            for i, (_, s, _) in enumerate(self.entries):
-                if s is None:
-                    continue
-                rows = s._lookup([t]).get(t) or []
-                if rows:
-                    rows_by_entry.append((i, rows))
-                    sum_df += int(rows[0]["df"])
-            df = sum_df - sum(pat.get(t, 0) for pat in self.patches)
+            rows_by_entry, df = self._term_rows(t)
             if not rows_by_entry or df <= 0:
                 continue
             idf_cur = float(idf(df, p.n_docs))
             ub = 0.0
-            for i, rows in rows_by_entry:
-                sp = self.entries[i][1].params
+            for s, _, rows in rows_by_entry:
+                sp = s.params
                 idf_baked = float(idf(int(rows[0]["df"]), sp.n_docs))
                 c = (idf_cur / idf_baked) \
                     * max(1.0, p.avgdl / max(sp.avgdl, 1e-12)) * INFL
                 ub = max(ub, max(c * float(r["max_score"]) * INFL + 1e-12
                                  for r in rows))
-            info.append((t, m, rows_by_entry, df, m * ub))
-        if not info:
-            return _topk_from_parts([], [], k)
-        info.sort(key=lambda x: -x[4])
-        suffix_ub = np.cumsum([x[4] for x in info][::-1])[::-1]
-
-        # NOTE: mirrors Searcher.search_terms' two-phase driver
-        # (query/searcher.py) plus per-epoch correction factors and dead-doc
-        # suppression — keep the exactness-critical invariants in sync.
-        acc_ids = np.empty(0, dtype=np.int64)
-        acc_sc = np.empty(0, dtype=np.float64)
-        theta = -np.inf
-        split = len(info)
-        for j, (t, m, rows_by_entry, df, ub) in enumerate(info):
-            if j > 0 and theta > suffix_ub[j]:
-                split = j
-                break
-            part_d, part_s = [], []
-            for i, rows in rows_by_entry:
-                _, s, dead_after = self.entries[i]
-                for row in rows:
-                    d, tf, dl = s._decode_list(row)
-                    if d.size == 0:
-                        continue
-                    if dead_after.size:
-                        keep = ~_isin_sorted(d.astype(np.int64), dead_after)
-                        if not keep.any():
-                            continue
-                        d, tf, dl = d[keep], tf[keep], dl[keep]
-                    if filters:
-                        msk = s.fields.mask(d.astype(np.int64), filters)
-                        if not msk.any():
-                            continue
-                        d, tf, dl = d[msk], tf[msk], dl[msk]
-                    part_d.append(d.astype(np.int64))
-                    part_s.append(m * term_scores(tf, dl, df, p))
-            acc_ids, acc_sc = _merge_acc(acc_ids, acc_sc, part_d, part_s)
-            if acc_ids.size >= k:
-                theta = max(theta, float(np.partition(acc_sc, -k)[-k]))
-
-        for j in range(split, len(info)):
-            t, m, rows_by_entry, df, ub = info[j]
-            cand = acc_ids[acc_sc + suffix_ub[j] >= theta]
-            if cand.size == 0:
-                break
-            part_d, part_s = [], []
-            for i, rows in rows_by_entry:
-                _, s, dead_after = self.entries[i]
-                for row in rows:
-                    keep = s._blocks_for_candidates(row, cand)
-                    if not keep.any():
-                        continue
-                    d, tf, dl = s._decode_list(row, keep=keep)
-                    sel = _isin_sorted(d.astype(np.int64), cand)
-                    if dead_after.size:
-                        sel &= ~_isin_sorted(d.astype(np.int64), dead_after)
-                    if not sel.any():
-                        continue
-                    d, tf, dl = d[sel], tf[sel], dl[sel]
-                    part_d.append(d.astype(np.int64))
-                    part_s.append(m * term_scores(tf, dl, df, p))
-            acc_ids, acc_sc = _merge_acc(acc_ids, acc_sc, part_d, part_s)
-            if acc_ids.size >= k:
-                theta = max(theta, float(np.partition(acc_sc, -k)[-k]))
-
-        if acc_ids.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        kk = min(k, acc_ids.size)
-        top = np.lexsort((acc_ids, -acc_sc))[:kk]
-        return acc_ids[top], acc_sc[top]
+            info.append((m, df, m * ub,
+                         [(s, row, dead_after)
+                          for s, dead_after, rows in rows_by_entry
+                          for row in rows]))
+        return maxscore_topk(info, k, p, filters)
 
     def search(self, query: str, k: int = 10, filters: dict | None = None):
         if self.analyze is None:

@@ -93,6 +93,106 @@ def _merge_acc(acc_ids: np.ndarray, acc_sc: np.ndarray,
     return uniq, out
 
 
+_NO_DEAD = np.empty(0, dtype=np.int64)
+
+
+def maxscore_topk(terms: list, k: int, p: BM25Params,
+                  filters: dict | None = None):
+    """Exact top-k of an OR query by two-phase MaxScore (term-at-a-time) —
+    the one driver behind :meth:`Searcher.search_terms` and
+    ``MultiEpochSearcher.search_terms``.
+
+    ``terms``: one ``(mult, df, ub, lists)`` per distinct query term, where
+    ``ub`` is a sound upper bound on the term's (mult-weighted) score in
+    any doc and each list is ``(searcher, row, dead_after)``: a posting-list
+    row of ``searcher`` plus the sorted docids it must suppress (dead in a
+    later chain epoch; empty for a single epoch).  Scores are
+    ``mult · BM25(tf, dl; df, p)``.  Returns (docids int64[], scores
+    float64[]) sorted by (-score, docid).
+
+    - ESSENTIAL phase — terms in descending ``ub`` order (stable, so the
+      caller's order breaks ties) are fully decoded into a running exact
+      accumulator; after each term θ = the k-th best running total (a
+      valid lower bound on the k-th best final total, since totals only
+      grow).  As soon as ``θ > Σ_{remaining} ub``, no unseen doc can reach
+      the top-k and the remaining terms switch to:
+    - CANDIDATE phase — for each remaining term only docs with
+      ``running_total + Σ_{this term onward} ub ≥ θ`` can still make the
+      cut; decode ONLY the blocks whose docid range contains a candidate
+      (:meth:`Searcher._blocks_for_candidates`) and accumulate just the
+      candidates' contributions.
+
+    Exactness: every true top-k doc d satisfies the candidate condition at
+    every step (its final total ≥ k-th final ≥ θ), so it is scored
+    EXACTLY; a doc dropped from candidacy keeps a partial score strictly
+    below θ ≤ k-th final and can never surface.  Hence ids and scores
+    equal exhaustive scoring (brute-force oracle and full-rebuild tests).
+    Filtered queries stay exact the same way: θ and candidates are derived
+    from FILTERED partials only (each list's own searcher evaluates the
+    filter); ``df`` and ``p`` are the unfiltered statistics (ES semantics:
+    filters restrict candidates, never statistics)."""
+    terms = sorted(terms, key=lambda x: -x[2])
+    # suffix_ub[j] = Σ_{i ≥ j} ub of terms[i]
+    suffix_ub = np.cumsum([x[2] for x in terms][::-1])[::-1]
+    acc_ids = np.empty(0, dtype=np.int64)
+    acc_sc = np.empty(0, dtype=np.float64)
+    theta = -np.inf
+    split = len(terms)
+    for j, (mult, df, _, lists) in enumerate(terms):
+        if j > 0 and theta > suffix_ub[j]:
+            split = j
+            break
+        part_d, part_s = [], []
+        for s, row, dead_after in lists:
+            d, tf, dl = s._decode_list(row)
+            if d.size == 0:
+                continue
+            if dead_after.size:
+                keep = ~_isin_sorted_i64(d.astype(np.int64), dead_after)
+                if not keep.any():
+                    continue
+                d, tf, dl = d[keep], tf[keep], dl[keep]
+            if filters:
+                keep = s.fields.mask(d.astype(np.int64), filters)
+                if not keep.any():
+                    continue
+                d, tf, dl = d[keep], tf[keep], dl[keep]
+            part_d.append(d.astype(np.int64))
+            part_s.append(mult * term_scores(tf, dl, df, p))
+        acc_ids, acc_sc = _merge_acc(acc_ids, acc_sc, part_d, part_s)
+        if acc_ids.size >= k:
+            theta = max(theta, float(np.partition(acc_sc, -k)[-k]))
+
+    for j in range(split, len(terms)):
+        mult, df, _, lists = terms[j]
+        cand = acc_ids[acc_sc + suffix_ub[j] >= theta]
+        if cand.size == 0:
+            break  # nobody can gain; no unseen doc can enter either
+        part_d, part_s = [], []
+        for s, row, dead_after in lists:
+            keep = s._blocks_for_candidates(row, cand)
+            if not keep.any():
+                continue
+            d, tf, dl = s._decode_list(row, keep=keep)
+            sel = _isin_sorted_i64(d.astype(np.int64), cand)
+            if dead_after.size:
+                sel &= ~_isin_sorted_i64(d.astype(np.int64), dead_after)
+            if not sel.any():
+                continue
+            d, tf, dl = d[sel], tf[sel], dl[sel]
+            part_d.append(d.astype(np.int64))
+            part_s.append(mult * term_scores(tf, dl, df, p))
+        acc_ids, acc_sc = _merge_acc(acc_ids, acc_sc, part_d, part_s)
+        if acc_ids.size >= k:
+            theta = max(theta, float(np.partition(acc_sc, -k)[-k]))
+
+    if acc_ids.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    # top-k by (-score, docid): lexsort last key is primary
+    top = np.lexsort((acc_ids, -acc_sc))[:min(k, acc_ids.size)]
+    return acc_ids[top], acc_sc[top]
+
+
 def _cumcount(codes: np.ndarray) -> np.ndarray:
     """Per-element cumulative occurrence number of its value, in array
     order (pandas ``groupby.cumcount``), fully vectorized: stable-sort by
@@ -393,6 +493,11 @@ class Searcher:
             self._fields = FieldStore(self._epoch_dir)
         return self._fields
 
+    def get_fields(self, docids: np.ndarray, cols: list[str]) -> dict:
+        """Docstore retrieval (``MultiEpochSearcher.get_fields`` on a
+        chain); unknown docids yield null."""
+        return self.fields.get(docids, cols)
+
     # -- scoring -------------------------------------------------------------
 
     @staticmethod
@@ -400,7 +505,7 @@ class Searcher:
         """Boolean keep-mask over a list's blocks: block b (docid range
         ``(skip_last[b-1], skip_last[b]]``) is kept iff it contains at
         least one of the SORTED candidate docids — the non-essential-term
-        decode set of the two-phase MaxScore in :meth:`search_terms`."""
+        decode set of the two-phase MaxScore in :func:`maxscore_topk`."""
         last = np.asarray(row["skip_last"], dtype=np.uint64).astype(np.int64)
         idx = np.searchsorted(cand, last, side="right")
         keep = np.empty(last.size, dtype=bool)
@@ -459,109 +564,24 @@ class Searcher:
         restricted to documents matching structured-field ``filters``
         (see :meth:`FieldStore.mask` for the spec grammar).
 
-        Returns (docids int64[], scores float64[]) sorted by (-score, docid).
-
-        Two-phase exact MaxScore (term-at-a-time):
-
-        - ESSENTIAL phase — terms in descending upper-bound order are fully
-          decoded into a running exact accumulator; after each term θ = the
-          k-th best running total (a valid lower bound on the k-th best
-          final total, since totals only grow).  As soon as
-          ``θ > Σ_{remaining} term_ub``, no unseen doc can reach the top-k
-          and the remaining terms switch to:
-        - CANDIDATE phase — for each remaining term only docs with
-          ``running_total + Σ_{this term onward} term_ub ≥ θ`` can still
-          make the cut; decode ONLY the blocks whose docid range contains a
-          candidate (:meth:`_blocks_for_candidates`) and accumulate just
-          the candidates' contributions.
-
-        Exactness: every true top-k doc d satisfies the candidate
-        condition at every step (its final total ≥ k-th final ≥ θ), so it
-        is scored EXACTLY; a doc dropped from candidacy keeps a partial
-        score strictly below θ ≤ k-th final and can never surface.  Hence
-        ids and scores equal exhaustive scoring (brute-force oracle tests).
-
-        Filtered queries stay exact the same way: θ and candidates are
-        derived from FILTERED partials only.  Scores use GLOBAL df/avgdl
-        (ES semantics: filters restrict candidates, never statistics).
-        """
+        Returns (docids int64[], scores float64[]) sorted by (-score,
+        docid), exactly those of exhaustive scoring: the two-phase
+        MaxScore of :func:`maxscore_topk` prunes posting blocks with each
+        term's stored list maxes as its upper bound."""
         # duplicate query terms contribute multiplied scores (Lucene semantics)
         mult: dict[str, int] = {}
         for t in terms:
             mult[t] = mult.get(t, 0) + 1
-        uniq_terms = list(mult)
-        rows_by_term = self._lookup(uniq_terms)
-        rows_by_term = {t: r for t, r in rows_by_term.items() if r}
-        if not rows_by_term:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-
-        fstore = self.fields if filters else None
-        p = self.params
-
         # list maxes are stored float32 (may round down); inflate so they
-        # remain sound upper bounds for the pruning arithmetic
-        term_max = {t: mult[t] * max(r["max_score"] for r in rows)
-                       * (1.0 + 1e-6) + 1e-12
-                    for t, rows in rows_by_term.items()}
-        order = sorted(rows_by_term, key=lambda t: -term_max[t])
-        # suffix_ub[j] = Σ_{i ≥ j} term_max[order[i]]
-        suffix_ub = np.cumsum([term_max[t] for t in order][::-1])[::-1]
-
-        # NOTE: this two-phase driver (essential loop / theta / suffix_ub /
-        # candidate loop) is mirrored in MultiEpochSearcher.search_terms
-        # (query/multi.py) with per-epoch correction factors — keep the
-        # exactness-critical invariants in sync when changing either.
-        acc_ids = np.empty(0, dtype=np.int64)
-        acc_sc = np.empty(0, dtype=np.float64)
-        theta = -np.inf
-        split = len(order)
-        for j, t in enumerate(order):
-            if j > 0 and theta > suffix_ub[j]:
-                split = j
-                break
-            part_d, part_s = [], []
-            for row in rows_by_term[t]:
-                d, tf, dl = self._decode_list(row)
-                if d.size == 0:
-                    continue
-                if fstore is not None:
-                    m = fstore.mask(d.astype(np.int64), filters)
-                    if not m.any():
-                        continue
-                    d, tf, dl = d[m], tf[m], dl[m]
-                part_d.append(d.astype(np.int64))
-                part_s.append(mult[t] * term_scores(tf, dl, row["df"], p))
-            acc_ids, acc_sc = _merge_acc(acc_ids, acc_sc, part_d, part_s)
-            if acc_ids.size >= k:
-                theta = max(theta, float(np.partition(acc_sc, -k)[-k]))
-
-        for j in range(split, len(order)):
-            t = order[j]
-            cand = acc_ids[acc_sc + suffix_ub[j] >= theta]
-            if cand.size == 0:
-                break  # nobody can gain; no unseen doc can enter either
-            part_d, part_s = [], []
-            for row in rows_by_term[t]:
-                keep = self._blocks_for_candidates(row, cand)
-                if not keep.any():
-                    continue
-                d, tf, dl = self._decode_list(row, keep=keep)
-                sel = _isin_sorted_i64(d.astype(np.int64), cand)
-                if not sel.any():
-                    continue
-                d, tf, dl = d[sel], tf[sel], dl[sel]
-                part_d.append(d.astype(np.int64))
-                part_s.append(mult[t] * term_scores(tf, dl, row["df"], p))
-            acc_ids, acc_sc = _merge_acc(acc_ids, acc_sc, part_d, part_s)
-            if acc_ids.size >= k:
-                theta = max(theta, float(np.partition(acc_sc, -k)[-k]))
-
-        if acc_ids.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        kk = min(k, acc_ids.size)
-        # top-k by (-score, docid): lexsort last key is primary
-        top = np.lexsort((acc_ids, -acc_sc))[:kk]
-        return acc_ids[top], acc_sc[top]
+        # remain sound upper bounds for the pruning arithmetic.  Every
+        # salted sub-list stores the term's global df.
+        return maxscore_topk(
+            [(mult[t], rows[0]["df"],
+              mult[t] * max(r["max_score"] for r in rows) * (1.0 + 1e-6)
+              + 1e-12,
+              [(self, r, _NO_DEAD) for r in rows])
+             for t, rows in self._lookup(list(mult)).items() if rows],
+            k, self.params, filters)
 
     def search(self, query: str, k: int = 10, filters: dict | None = None):
         """Analyze a free-text query with the index analyzer, then top-k."""

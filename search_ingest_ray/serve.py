@@ -1,12 +1,14 @@
 """Long-lived query serving daemon — the Ray-native analog of the
 reference's always-on HTTP service (/root/reference/src/api.cr:25-90).
 
-The reference keeps a pooled ES client alive for the process lifetime; the
-round-1 CLI built a fresh Searcher per invocation.  This daemon holds ONE
-warmed :class:`Searcher` (term dictionaries + mmapped postings resident)
-and answers a JSON-lines protocol on a stream pair — stdin/stdout from the
-CLI (``python -m search_ingest_ray.cli serve <root>``), or any file-like
-pair in-process (tests drive it with StringIO).
+The reference keeps a pooled ES client alive for the process lifetime.
+A :class:`ServeSession` holds ONE searcher — a warmed :class:`Searcher`
+(term dictionaries + mmapped postings resident), or a
+``MultiEpochSearcher`` over a delta-epoch chain — and answers a JSON-lines
+protocol on a stream pair — stdin/stdout from the CLI
+(``python -m search_ingest_ray.cli serve <root>``), or any file-like pair
+in-process (tests drive it with StringIO).  The CLI ``query`` command
+answers through the same session.
 
 Request (one JSON object per line)::
 
@@ -48,39 +50,43 @@ def _norm_filters(filters: dict | None) -> dict | None:
 
 
 class ServeSession:
-    """One daemon session: a warmed Searcher + request dispatch.
+    """One daemon session: one searcher + request dispatch.
 
     When the index has a delta-segment epoch chain (``mode="delta"``
-    epochs after the last full epoch), queries go through
+    epochs after the last full epoch), the searcher is a
     :class:`MultiEpochSearcher` — a single-epoch Searcher on the latest
-    (tiny, delta-only) epoch would silently serve only the delta docs.
-    Filters, phrase/slop queries and field retrieval all work on the chain
+    (tiny, delta-only) epoch would silently serve only the delta docs, so
+    an explicit ``epoch`` that is a delta epoch is refused.  Both searchers
+    answer the same calls (search, match_phrase, get_fields, stats):
+    filters, phrase/slop queries and field retrieval all work on the chain
     (per-live-epoch docvalues / positional matching, current global
-    stats)."""
+    stats).  ``warm`` preloads a single epoch's term dictionaries; a
+    chain's searchers load lazily."""
 
     def __init__(self, index_root: str, epoch: int | None = None,
                  warm: bool = True):
         from .aliases import resolve as _resolve_alias
+        from .pipelines.epochs import epoch_chain, epoch_mode
         index_root = _resolve_alias(index_root)  # accepts "alias:NAME";
         # resolved BEFORE chain detection so an aliased delta chain routes
         # through MultiEpochSearcher instead of silently missing epochs.json
-        self.multi = None
+        self.chained = False
         if epoch is None:
-            from .pipelines.epochs import epoch_chain, latest_epoch
             chain = epoch_chain(index_root)
-            if any(m == "delta" for _, m in chain):
-                from .query.multi import MultiEpochSearcher
-                self.multi = MultiEpochSearcher(index_root)
-                epoch = chain[-1][0]
-            else:
-                epoch = latest_epoch(index_root)
+            epoch = chain[-1][0]
+            self.chained = any(m == "delta" for _, m in chain)
+        elif epoch_mode(index_root, epoch) == "delta":
+            raise ValueError(
+                f"epoch {epoch} of {index_root} is a delta epoch: it holds "
+                "only that delta's segments; serve the chain (epoch=None)")
         self.epoch = epoch
-        if self.multi is None:
+        if self.chained:
+            from .query.multi import MultiEpochSearcher
+            self.searcher = MultiEpochSearcher(index_root)
+        else:
             self.searcher = Searcher(index_root, epoch=epoch)
             if warm:
                 self.searcher.warm()
-        else:
-            self.searcher = None
         self.n_queries = 0
         self.started = time.monotonic()
 
@@ -91,69 +97,53 @@ class ServeSession:
             if op == "quit":
                 return None
             if op == "status":
-                st = (self.multi.stats if self.multi is not None
-                      else self.searcher.stats)
                 return {"id": rid, "ok": True, "epoch": self.epoch,
-                        "mode": "delta-chain" if self.multi else "single",
-                        "n_docs": st["n_docs"],
+                        "mode": "delta-chain" if self.chained else "single",
+                        "n_docs": self.searcher.stats["n_docs"],
                         "n_queries": self.n_queries,
                         "uptime_s": round(time.monotonic() - self.started, 3)}
             k = int(req.get("k", 10))
             filters = _norm_filters(req.get("filters"))
-            if self.multi is not None and op in ("query", "phrase"):
-                self.n_queries += 1
-                if op == "phrase":
-                    d, sc = self.multi.match_phrase(
-                        req["phrase"], k=k, filters=filters,
-                        slop=int(req.get("slop", 0)))
-                else:
-                    d, sc = self.multi.search(req["query"], k=k,
-                                              filters=filters)
-                hits = [{"doc_id": int(x), "rank": i + 1, "score": float(s)}
-                        for i, (x, s) in enumerate(zip(d, sc))]
-                fields = req.get("fields")
-                if fields and len(d):
-                    # re-null: a missing int docvalue arrives float64+NaN
-                    # from the shard, and json.dumps(NaN) is invalid JSON
-                    fv = {c: _renull_int(v)
-                          for c, v in self.multi.get_fields(d, fields).items()}
-                    for i, h in enumerate(hits):
-                        for c in fields:
-                            h[c] = fv[c][i].as_py()
-                return {"id": rid, "ok": True, "hits": hits}
-            if op == "query":
-                self.n_queries += 1
-                fields = req.get("fields")
-                if fields:
-                    t = self.searcher.search_docs(
-                        self.searcher.analyze(req["query"]), k=k,
-                        filters=filters, return_fields=fields)
-                    hits = t.to_pylist()
-                else:
-                    d, sc = self.searcher.search(req["query"], k=k,
-                                                 filters=filters)
-                    hits = [{"doc_id": int(x), "rank": i + 1,
-                             "score": float(s)}
-                            for i, (x, s) in enumerate(zip(d, sc))]
-                return {"id": rid, "ok": True, "hits": hits}
+            if op not in ("query", "phrase"):
+                return {"id": rid, "ok": False,
+                        "error": f"unknown op {op!r}"}
+            self.n_queries += 1
             if op == "phrase":
-                self.n_queries += 1
                 d, sc = self.searcher.match_phrase(
                     req["phrase"], k=k, filters=filters,
                     slop=int(req.get("slop", 0)))
-                hits = [{"doc_id": int(x), "rank": i + 1, "score": float(s)}
-                        for i, (x, s) in enumerate(zip(d, sc))]
-                fields = req.get("fields")
-                if fields and len(d):
-                    fv = {c: _renull_int(v) for c, v in
-                          self.searcher.fields.get(d, fields).items()}
-                    for i, h in enumerate(hits):
-                        for c in fields:
-                            h[c] = fv[c][i].as_py()
-                return {"id": rid, "ok": True, "hits": hits}
-            return {"id": rid, "ok": False, "error": f"unknown op {op!r}"}
+            else:
+                d, sc = self.searcher.search(req["query"], k=k,
+                                             filters=filters)
+            hits = [{"doc_id": int(x), "rank": i + 1, "score": float(s)}
+                    for i, (x, s) in enumerate(zip(d, sc))]
+            fields = req.get("fields")
+            if fields and len(d):
+                # re-null: a missing int docvalue arrives float64+NaN from
+                # the shard, and json.dumps(NaN) is invalid JSON
+                fv = {c: _renull_int(v) for c, v in
+                      self.searcher.get_fields(d, fields).items()}
+                for i, h in enumerate(hits):
+                    for c in fields:
+                        h[c] = fv[c][i].as_py()
+            return {"id": rid, "ok": True, "hits": hits}
         except Exception as e:  # noqa: BLE001 — daemon must not die per-request
             return {"id": rid, "ok": False, "error": repr(e)[:500]}
+
+
+def _handle_line(sess: ServeSession, line: str) -> str | None:
+    """One JSONL request line → its response line: ``""`` for a blank
+    line, None for quit; bad JSON answers an error and serving goes on."""
+    line = line.strip()
+    if not line:
+        return ""
+    try:
+        req = json.loads(line)
+    except json.JSONDecodeError as e:
+        return json.dumps({"ok": False, "error": f"bad json: {e}"})
+    if req.get("op") == "quit":
+        return None
+    return json.dumps(sess.handle(req))
 
 
 _ACTOR_CLS = None
@@ -172,16 +162,7 @@ def _serve_actor_cls():
                 return True
 
             def handle_line(self, line: str):
-                line = line.strip()
-                if not line:
-                    return ""
-                try:
-                    req = json.loads(line)
-                except json.JSONDecodeError as e:
-                    return json.dumps({"ok": False, "error": f"bad json: {e}"})
-                if req.get("op") == "quit":
-                    return None
-                return json.dumps(self.sess.handle(req))
+                return _handle_line(self.sess, line)
 
         # pure readers of an immutable index: a lost actor (node failure)
         # rebuilds its warmed session and the in-flight call retries —
@@ -197,19 +178,15 @@ class ServePool:
     the daemon analog of the reference's pooled ES clients
     (elastic.cr:62-93).
 
-    - ``pool=1`` (default): serve inline, one warmed Searcher.
-    - ``pool>1``: a thread pool of sessions; modest gains only (per-query
-      Python dominates small-index queries, GIL-bound).
+    - ``actors=0`` (default): serve inline from one warmed session.
     - ``actors>0``: the throughput path — N Ray actors each holding a
-      warmed Searcher; requests round-robin across actors with pipelined
+      warmed session; requests round-robin across actors with pipelined
       dispatch, responses stay in request order.  Requires a Ray session.
     """
 
     def __init__(self, index_root: str, epoch: int | None = None,
-                 warm: bool = True, pool: int = 1, actors: int = 0):
-        import queue as _queue
+                 warm: bool = True, actors: int = 0):
         self._actors = []
-        self.pool = max(1, pool)
         if actors:
             import ray
             cls = _serve_actor_cls()
@@ -217,26 +194,7 @@ class ServePool:
                             for _ in range(actors)]
             ray.get([a.ping.remote() for a in self._actors])  # warm barrier
             return
-        self._free: _queue.SimpleQueue = _queue.SimpleQueue()
-        for _ in range(self.pool):
-            self._free.put(ServeSession(index_root, epoch=epoch, warm=warm))
-
-    def _one(self, line: str):
-        line = line.strip()
-        if not line:
-            return ""
-        try:
-            req = json.loads(line)
-        except json.JSONDecodeError as e:
-            return json.dumps({"ok": False, "error": f"bad json: {e}"})
-        if req.get("op") == "quit":
-            return None
-        s = self._free.get()
-        try:
-            resp = s.handle(req)
-        finally:
-            self._free.put(s)
-        return json.dumps(resp)
+        self._sess = ServeSession(index_root, epoch=epoch, warm=warm)
 
     @staticmethod
     def _truncate_at_quit(chunk: list[str]) -> tuple[list[str], bool]:
@@ -254,6 +212,7 @@ class ServePool:
         return chunk, False
 
     def run(self, in_stream, out_stream) -> int:
+        """Blocking request loop; returns the number of requests served."""
         served = 0
         if self._actors:
             import itertools
@@ -274,37 +233,12 @@ class ServePool:
                         served += 1
                 out_stream.flush()
             return served
-        if self.pool == 1:
-            for line in in_stream:
-                out = self._one(line)
-                if out is None:
-                    break
-                if out:
-                    out_stream.write(out + "\n")
-                    out_stream.flush()
-                    served += 1
-            return served
-        import itertools
-        from concurrent.futures import ThreadPoolExecutor
-        stop = False
-        with ThreadPoolExecutor(max_workers=self.pool) as ex:
-            lines = iter(in_stream)
-            while not stop:
-                chunk = list(itertools.islice(lines, 4 * self.pool))
-                if not chunk:
-                    break
-                chunk, stop = self._truncate_at_quit(chunk)
-                for out in ex.map(self._one, chunk):
-                    if out:
-                        out_stream.write(out + "\n")
-                        served += 1
+        for line in in_stream:
+            out = _handle_line(self._sess, line)
+            if out is None:
+                break
+            if out:
+                out_stream.write(out + "\n")
                 out_stream.flush()
+                served += 1
         return served
-
-
-def serve_loop(index_root: str, in_stream, out_stream,
-               epoch: int | None = None, warm: bool = True,
-               pool: int = 1) -> int:
-    """Blocking request loop; returns the number of requests served."""
-    return ServePool(index_root, epoch=epoch, warm=warm,
-                     pool=pool).run(in_stream, out_stream)

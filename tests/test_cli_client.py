@@ -33,14 +33,13 @@ def test_cli_query_and_status(ray_session, corpus_dir, tmp_path):
     assert main(["status", str(tmp_path / "nonexistent")]) == 1
 
 
-def test_cli_delta_epoch_roundtrip(ray_session, tmp_path):
-    """`cli delta` applies a backfill then an incremental delta epoch."""
+def _cli_chain(tmp_path):
+    """A 10-doc epoch 0 plus one delta epoch that rewrites u1 to
+    "freshterm only", both applied through ``cli delta``."""
     import os
     import pyarrow as pa
     import pyarrow.parquet as pq
     from search_ingest_ray.cli import main
-    from search_ingest_ray.query.multi import MultiEpochSearcher
-    from search_ingest_ray.util import doc_id_hash
     base = str(tmp_path / "base")
     os.makedirs(base)
     pq.write_table(pa.table({
@@ -58,9 +57,37 @@ def test_cli_delta_epoch_roundtrip(ray_session, tmp_path):
     assert main(["delta", root, "--delta", delta, "--epoch", "1",
                  "--mode", "delta", "--analyzer", "simple",
                  "--num-buckets", "4"]) == 0
-    ms = MultiEpochSearcher(root)
+    return root
+
+
+def test_cli_delta_epoch_roundtrip(ray_session, tmp_path):
+    """`cli delta` applies a backfill then an incremental delta epoch."""
+    from search_ingest_ray.query.multi import MultiEpochSearcher
+    from search_ingest_ray.util import doc_id_hash
+    ms = MultiEpochSearcher(_cli_chain(tmp_path))
     d, _ = ms.search_terms(["freshterm"], k=5)
     assert set(d.tolist()) == {doc_id_hash("u1")}
+
+
+def test_cli_query_serves_the_delta_chain(ray_session, tmp_path, capsys):
+    """`cli query` without --epoch answers from the whole chain: the
+    updated doc's new term is found, and its old term no longer is."""
+    from search_ingest_ray.cli import main
+    from search_ingest_ray.util import doc_id_hash
+    root = _cli_chain(tmp_path)
+    capsys.readouterr()
+    assert main(["query", root, "freshterm"]) == 0
+    lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+    assert [(x["rank"], x["docid"]) for x in lines] == \
+        [(1, doc_id_hash("u1"))]
+    assert set(lines[0]) == {"rank", "docid", "score"}
+    assert main(["query", root, "doc1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["query", root, "common", "-k", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    # a delta epoch alone holds only its delta: pinning it is refused
+    with pytest.raises(ValueError, match="delta epoch"):
+        main(["query", root, "freshterm", "--epoch", "1"])
 
 
 def test_lang_aware_emitter():

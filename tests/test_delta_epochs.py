@@ -228,6 +228,16 @@ def test_compaction_restores_single_epoch(ray_session, base_dir, tmp_path):
     assert set(d.tolist()) == {doc_id_hash("u7")}
     d, _ = ms.search_terms(["eta"], k=5)
     assert set(d.tolist()) == {doc_id_hash("u9")}
+    # a one-epoch chain is the single-epoch path: bit-equal ids and scores
+    s = Searcher(root, epoch=2)
+    for terms, k in ((["w1", "w2", "w3"], 10), (["w4", "w4", "w7"], 10),
+                     (["w2", "eta"], 5), (["zeta", "w5"], 10 * N)):
+        d1, sc1 = ms.search_terms(terms, k=k)
+        d2, sc2 = s.search_terms(terms, k=k)
+        assert d1.tolist() == d2.tolist(), terms
+        assert sc1.tobytes() == sc2.tobytes(), terms
+        if k > N:
+            assert 0 < d1.size < k
 
 
 def test_delta_chain_bool_matches_full_rebuild(ray_session, base_dir,

@@ -1,10 +1,12 @@
 """Two-phase MaxScore actually prunes — and stays exact.
 
-The essential/candidate split in ``query/searcher.py`` (and its chain
-variant in ``query/multi.py``, fed by the dead-term df patches of
-``pipelines/epochs.py``) must (a) return rank- AND score-identical results
-to brute force / a full rebuild, and (b) decode strictly fewer postings
-than the lists hold when a rare term's θ dominates a common term's bound.
+The essential/candidate split of ``searcher.maxscore_topk`` — driven by
+``Searcher.search_terms`` on one epoch and by
+``MultiEpochSearcher.search_terms`` on a delta chain, whose bounds come
+from the dead-term df patches of ``pipelines/epochs.py`` — must (a) return
+rank- AND score-identical results to brute force / a full rebuild, and (b)
+decode strictly fewer postings than the lists hold when a rare term's θ
+dominates a common term's bound.
 """
 
 import os
@@ -107,7 +109,6 @@ def test_chain_candidate_phase_prunes_and_matches_rebuild(
     apply_delta_epoch(root, [dpath], 1, mode="delta", num_buckets=8, **KW)
 
     ms = MultiEpochSearcher(root)
-    assert ms.pruning_ok
 
     # dead-term patch df == decoded surviving-postings df, term by term
     for t in ("common", "rare", "mid", "plain", "nosuchterm"):
@@ -132,3 +133,9 @@ def test_chain_candidate_phase_prunes_and_matches_rebuild(
     assert np.allclose(sc1, sc2)
     assert decoded_ms < held_ms, (decoded_ms, held_ms)
     assert decoded_ms < N // 2
+
+    # a delta epoch without its committed patch cannot be bounded: refused
+    from search_ingest_ray.pipelines.epochs import epoch_dir
+    os.remove(os.path.join(epoch_dir(root, 1), "df_patch", "_DONE"))
+    with pytest.raises(ValueError, match="delta epoch 1 "):
+        MultiEpochSearcher(root)

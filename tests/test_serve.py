@@ -6,10 +6,11 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from search_ingest_ray.index.build import build_index
 from search_ingest_ray.pipelines.manager import ManagedTable, TableManager
-from search_ingest_ray.serve import serve_loop
+from search_ingest_ray.serve import ServePool
 from search_ingest_ray.util import doc_id_hash
 
 
@@ -30,7 +31,7 @@ def _mk_index(tmp_path, with_fields=True):
 def _run(root, requests):
     ins = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
     outs = io.StringIO()
-    served = serve_loop(root, ins, outs)
+    served = ServePool(root).run(ins, outs)
     return served, [json.loads(x) for x in outs.getvalue().splitlines()]
 
 
@@ -58,41 +59,30 @@ def test_serve_query_phrase_status_quit(ray_session, tmp_path):
 
 
 def test_serve_bad_requests_keep_daemon_alive(ray_session, tmp_path):
+    """Bad JSON and an unknown op answer errors and serving goes on — on
+    the inline pool and on the actor pool, which share one line
+    handler."""
     root = _mk_index(tmp_path)
-    ins = io.StringIO('not json\n{"op":"nope","id":1}\n'
-                      '{"op":"query","id":2,"query":"alpha"}\n')
-    outs = io.StringIO()
-    serve_loop(root, ins, outs)
-    resps = [json.loads(x) for x in outs.getvalue().splitlines()]
-    assert resps[0]["ok"] is False
-    assert resps[1]["ok"] is False
-    assert resps[2]["ok"] is True and resps[2]["hits"]
-
-
-def test_serve_pooled_matches_single(ray_session, tmp_path):
-    root = _mk_index(tmp_path)
-    reqs = [{"op": "query", "id": i, "query": q}
-            for i, q in enumerate(["alpha", "beta", "gamma", "delta"] * 5)]
-    payload = "\n".join(json.dumps(r) for r in reqs) + "\n"
-    outs1, outs4 = io.StringIO(), io.StringIO()
-    n1 = serve_loop(root, io.StringIO(payload), outs1, pool=1)
-    n4 = serve_loop(root, io.StringIO(payload), outs4, pool=4)
-    assert n1 == n4 == len(reqs)
-    r1 = [json.loads(x) for x in outs1.getvalue().splitlines()]
-    r4 = [json.loads(x) for x in outs4.getvalue().splitlines()]
-    # same responses in the same (request) order
-    assert [x["id"] for x in r4] == [x["id"] for x in r1]
-    assert [x["hits"] for x in r4] == [x["hits"] for x in r1]
+    payload = ('not json\n{"op":"nope","id":1}\n'
+               '{"op":"query","id":2,"query":"alpha"}\n')
+    for pool in (ServePool(root), ServePool(root, actors=2)):
+        outs = io.StringIO()
+        assert pool.run(io.StringIO(payload), outs) == 3
+        resps = [json.loads(x) for x in outs.getvalue().splitlines()]
+        assert resps[0]["ok"] is False
+        assert resps[0]["error"].startswith("bad json")
+        assert resps[1] == {"id": 1, "ok": False,
+                            "error": "unknown op 'nope'"}
+        assert resps[2]["ok"] is True and resps[2]["hits"]
 
 
 def test_serve_actor_pool_matches_single(ray_session, tmp_path):
-    from search_ingest_ray.serve import ServePool
     root = _mk_index(tmp_path)
     reqs = [{"op": "query", "id": i, "query": q}
             for i, q in enumerate(["alpha", "beta", "gamma"] * 4)]
     payload = "\n".join(json.dumps(r) for r in reqs) + "\n"
     outs1, outsA = io.StringIO(), io.StringIO()
-    serve_loop(root, io.StringIO(payload), outs1)
+    ServePool(root).run(io.StringIO(payload), outs1)
     sp = ServePool(root, actors=2)
     nA = sp.run(io.StringIO(payload), outsA)
     assert nA == len(reqs)
@@ -105,14 +95,13 @@ def test_serve_actor_pool_matches_single(ray_session, tmp_path):
     assert sp.run(io.StringIO(payload), outsB) == len(reqs)
 
 
-def test_serve_delta_chain_uses_multi_searcher(ray_session, tmp_path):
-    """A delta-mode epoch chain must be served through MultiEpochSearcher —
-    not the latest (delta-only) epoch's tiny index."""
-    import pyarrow.parquet as pq_
+def _mk_chain(tmp_path):
+    """12 docs "common docN" in epoch 0; delta epoch 1 rewrites u1 to
+    "freshterm common"."""
     from search_ingest_ray.pipelines.epochs import apply_delta_epoch
     base = str(tmp_path / "base")
     os.makedirs(base)
-    pq_.write_table(pa.table({
+    pq.write_table(pa.table({
         "url": [f"u{i}" for i in range(12)],
         "text": [f"common doc{i}" for i in range(12)],
     }), os.path.join(base, "b.parquet"))
@@ -123,12 +112,18 @@ def test_serve_delta_chain_uses_multi_searcher(ray_session, tmp_path):
     apply_delta_epoch(root, None, 0, base_paths=[os.path.join(base, "b.parquet")],
                       **kw)
     delta = str(tmp_path / "d.parquet")
-    pq_.write_table(pa.table({
+    pq.write_table(pa.table({
         "url": ["u1"], "text": ["freshterm common"],
         "epoch": pa.array([1], pa.int64()), "action": ["updated"],
     }), delta)
     apply_delta_epoch(root, [delta], 1, mode="delta", **kw)
+    return root
 
+
+def test_serve_delta_chain_uses_multi_searcher(ray_session, tmp_path):
+    """A delta-mode epoch chain must be served through MultiEpochSearcher —
+    not the latest (delta-only) epoch's tiny index."""
+    root = _mk_chain(tmp_path)
     served, resps = _run(root, [
         {"op": "query", "id": 1, "query": "common", "k": 50},
         {"op": "query", "id": 2, "query": "freshterm", "k": 5,
@@ -147,6 +142,22 @@ def test_serve_delta_chain_uses_multi_searcher(ray_session, tmp_path):
     # phrase works on the chain (doc2's live version is in the base epoch)
     assert {h["doc_id"] for h in by_id[4]["hits"]} == {doc_id_hash("u2")}
     assert {h["doc_id"] for h in by_id[5]["hits"]} == {doc_id_hash("u3")}
+
+
+def test_serve_refuses_a_delta_epoch(ray_session, tmp_path):
+    """Pinning a delta epoch would serve only that delta's segments and
+    stats; the session refuses it.  A full epoch of the chain still
+    serves on its own."""
+    from search_ingest_ray.serve import ServeSession
+    root = _mk_chain(tmp_path)
+    with pytest.raises(ValueError, match="epoch 1 .* is a delta epoch"):
+        ServeSession(root, epoch=1)
+    sess = ServeSession(root, epoch=0)
+    st = sess.handle({"op": "status"})
+    assert st["mode"] == "single" and st["n_docs"] == 12
+    hits = sess.handle({"query": "common", "k": 50})["hits"]
+    assert len(hits) == 12  # epoch 0 predates the update: u1 is there
+    assert sess.handle({"query": "freshterm"})["hits"] == []
 
 
 def test_heal_backfills_only_sick_tables(ray_session, tmp_path, corpus_dir):
@@ -184,7 +195,6 @@ def test_serve_actor_death_self_heals(ray_session, tmp_path):
     retried calls return identical answers, the pool never surfaces
     RayActorError."""
     import ray
-    from search_ingest_ray.serve import ServePool
     root = _mk_index(tmp_path)
     reqs = [{"op": "query", "id": i, "query": q}
             for i, q in enumerate(["alpha", "beta", "gamma"] * 2)]
@@ -207,8 +217,6 @@ def test_serve_actor_death_mid_daemon_recovers(ray_session, tmp_path):
     restart it with a re-warmed Searcher and the next stream's responses
     stay identical and in order."""
     import ray
-
-    from search_ingest_ray.serve import ServePool
     root = _mk_index(tmp_path)
     reqs = [{"op": "query", "id": i, "query": q}
             for i, q in enumerate(["alpha", "beta", "gamma"] * 4)]
