@@ -11,6 +11,7 @@ Ray is initialised by the driver before import — nothing here calls
 
 from __future__ import annotations
 
+import functools
 import os
 from collections.abc import Callable
 from typing import Any
@@ -66,10 +67,16 @@ def q_token_count(sf_dir: str):
 
 
 def q_corpus_stats(sf_dir: str):
+    """Document count, token total and micro-unit avgdl of the corpus:
+    one aggregate over the tokenize plan, so it runs once (a ``count()``
+    then a ``sum()`` would run it twice)."""
+    from ray.data.aggregate import Count, Sum
+
     from search_ingest_ray.functions.textstats import token_count_batch
-    ds = _docs(sf_dir).map_batches(token_count_batch, batch_format="pyarrow")
-    n_docs = ds.count()
-    total = ds.sum("n_tokens") if n_docs else 0
+    agg = (_docs(sf_dir).map_batches(token_count_batch, batch_format="pyarrow")
+           .aggregate(Count(), Sum("n_tokens")))
+    n_docs = int(agg["count()"])
+    total = agg["sum(n_tokens)"] or 0
     avgdl_micro = int(np.floor(total / n_docs * 1e6)) if n_docs else 0
     return pa.table({
         "n_docs": pa.array([n_docs], pa.int64()),
@@ -1053,7 +1060,6 @@ def q_weighted_avg(sf_dir: str):
     groupby-sum over one row per (block, lang), never a per-doc shuffle."""
     from search_ingest_ray.functions.textstats import (token_count_batch,
                                                        weighted_partial_batch)
-    import functools
     ds = (_docs(sf_dir)
           .map_batches(token_count_batch, batch_format="pyarrow")
           .map_batches(functools.partial(weighted_partial_batch,
@@ -1946,7 +1952,10 @@ def q_interval_orders(sf_dir: str):
     they overlap, points go to their one bin, both sides hash-partition
     on the bin (one exchange each) and each partition resolves
     containment with blockwise boolean broadcasting guarded by bin
-    equality — no distinct pass, no driver-side state."""
+    equality — no distinct pass, no driver-side state.  ``iid`` keeps
+    the part read's key type, so the join takes it from that read's
+    Parquet footer instead of running the mapped intervals for a
+    schema."""
     import ray.data as rd
     from search_ingest_ray.functions.relational import interval_join
 
@@ -1955,18 +1964,20 @@ def q_interval_orders(sf_dir: str):
         k = k[(k % 50) == 0]
         lo = ((k * 7919) % 490000).astype(np.float64)
         hi = lo + (100 + (k * 131) % 2000).astype(np.float64)
-        return pa.table({"iid": pa.array(k, pa.int64()),
+        return pa.table({"iid": pa.array(k, b["p_partkey"].type),
                          "lo": pa.array(lo), "hi": pa.array(hi)})
 
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_totalprice"])
-    ivs = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                          columns=["p_partkey"]) \
-            .map_batches(_iv_make, batch_format="pyarrow")
+    parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
+                            columns=["p_partkey"])
+    key_type = parts.schema().types[0]
+    ivs = parts.map_batches(_iv_make, batch_format="pyarrow")
     return interval_join(orders, ivs, value_col="o_totalprice",
                          lo_col="lo", hi_col="hi",
                          point_cols=["o_orderkey"], interval_cols=["iid"],
-                         bin_width=1024.0, num_partitions=32)
+                         bin_width=1024.0, num_partitions=32,
+                         types={"iid": key_type})
 
 
 def q_window_events(sf_dir: str):
@@ -3066,8 +3077,28 @@ def entry() -> Any:
     return run_query_set(root, queries, k=10)
 
 
+def _once(fn: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``fn`` with a lazy Ray Data result returned materialized, so a
+    query runs its plan once per call however the caller reads it.
+
+    A lazy plan runs again on every read, and one read runs it twice:
+    in Ray 2.49.2 ``Dataset.to_arrow_refs`` executes the plan, then calls
+    ``schema(fetch_if_missing=True)``, which executes it again, because
+    the plan keeps no output and no ``map_batches`` operator can infer
+    its schema.  ``to_arrow_refs``, ``take_all``, ``to_pandas`` and
+    ``count`` on a materialized result read its snapshot.  Every caller
+    reads the whole result, so this pins no more than they already do.
+    A ``pa.Table`` or DataFrame result passes through unchanged."""
+    @functools.wraps(fn)
+    def run(sf_dir: str):
+        from ray.data import Dataset
+        res = fn(sf_dir)
+        return res.materialize() if isinstance(res, Dataset) else res
+    return run
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
-    return {
+    return {name: _once(fn) for name, fn in {
         "doc_count_by_lang": q_doc_count_by_lang,
         "token_count": q_token_count,
         "corpus_stats": q_corpus_stats,
@@ -3248,7 +3279,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "gif_features": q_gif_features,
         "video_features": q_video_features,
         "webpage_build": q_webpage_build,
-    }
+    }.items()}
 
 
 def _mulmod64(x: str, y: str) -> str:

@@ -214,7 +214,7 @@ _IJ_HI = "__ij_hi"
 
 
 def _ij_point_batch(batch: pa.Table, *, value_col, point_cols,
-                    interval_cols, itypes, bin_width,
+                    interval_cols, types, bin_width,
                     num_partitions) -> pa.Table:
     batch = batch.combine_chunks()
     if pc.any(pc.is_null(batch[value_col])).as_py():
@@ -223,7 +223,7 @@ def _ij_point_batch(batch: pa.Table, *, value_col, point_cols,
     bins = np.floor(v / bin_width).astype(np.int64)
     n = len(batch)
     cols = {c: batch[c] for c in point_cols}
-    cols.update({c: pa.nulls(n, itypes[c]) for c in interval_cols})
+    cols.update({c: pa.nulls(n, types[c]) for c in interval_cols})
     cols[_IJ_V] = pa.array(v, pa.float64())
     cols[_IJ_LO] = pa.nulls(n, pa.float64())
     cols[_IJ_HI] = pa.nulls(n, pa.float64())
@@ -235,7 +235,7 @@ def _ij_point_batch(batch: pa.Table, *, value_col, point_cols,
 
 
 def _ij_interval_batch(batch: pa.Table, *, lo_col, hi_col, point_cols,
-                       ptypes, interval_cols, bin_width,
+                       types, interval_cols, bin_width,
                        num_partitions) -> pa.Table:
     batch = batch.combine_chunks()
     lo = batch[lo_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -256,7 +256,7 @@ def _ij_interval_batch(batch: pa.Table, *, lo_col, hi_col, point_cols,
     bins = starts + within
     rep = batch.take(pa.array(idx))
     n = len(rep)
-    cols = {c: pa.nulls(n, ptypes[c]) for c in point_cols}
+    cols = {c: pa.nulls(n, types[c]) for c in point_cols}
     cols.update({c: rep[c] for c in interval_cols})
     cols[_IJ_V] = pa.nulls(n, pa.float64())
     cols[_IJ_LO] = pa.array(lo[idx], pa.float64())
@@ -311,7 +311,8 @@ def _ij_kernel(g: pa.Table, *, point_cols, interval_cols,
 def interval_join(points, intervals, *, value_col: str, lo_col: str,
                   hi_col: str, point_cols: list[str],
                   interval_cols: list[str], bin_width: float | None = None,
-                  num_partitions: int = 64):
+                  num_partitions: int = 64,
+                  types: dict[str, pa.DataType] | None = None):
     """Distributed interval (range) join where BOTH sides are large
     Datasets and intervals may OVERLAP — the scale path
     :func:`range_join_broadcast`'s docstring promises.
@@ -333,13 +334,21 @@ def interval_join(points, intervals, *, value_col: str, lo_col: str,
     tiny aggregate pass over ``intervals``).  A single giant interval
     degrades gracefully (many cheap replicas) rather than melting one
     task.  Nulls on either side never match (SQL semantics); empty
-    intervals (``hi <= lo``) are dropped."""
+    intervals (``hi <= lo``) are dropped.
+
+    ``types``: the Arrow types of ``point_cols`` and ``interval_cols``
+    (each side carries the other's columns as typed nulls).  A column not
+    named there takes its type from its input's ``schema()``, which runs
+    nothing for a plain read but runs a mapped input's whole pipeline
+    once more, so a caller that maps an input names its types."""
     if set(point_cols) & set(interval_cols):
         raise ValueError("point_cols and interval_cols must be disjoint")
-    pschema = points.schema()
-    ischema = intervals.schema()
-    ptypes = dict(zip(pschema.names, pschema.types))
-    itypes = dict(zip(ischema.names, ischema.types))
+    types = dict(types or {})
+    for ds, cols in ((points, point_cols), (intervals, interval_cols)):
+        if any(c not in types for c in cols):
+            schema = ds.schema()
+            types.update((c, t) for c, t in zip(schema.names, schema.types)
+                         if c in cols and c not in types)
     if bin_width is None:
         from ray.data.aggregate import Mean
         stats = (intervals
@@ -352,12 +361,12 @@ def interval_join(points, intervals, *, value_col: str, lo_col: str,
     pts = points.map_batches(
         functools.partial(_ij_point_batch, value_col=value_col,
                           point_cols=point_cols, interval_cols=interval_cols,
-                          itypes=itypes, bin_width=bin_width,
+                          types=types, bin_width=bin_width,
                           num_partitions=num_partitions),
         batch_format="pyarrow")
     ivs = intervals.map_batches(
         functools.partial(_ij_interval_batch, lo_col=lo_col, hi_col=hi_col,
-                          point_cols=point_cols, ptypes=ptypes,
+                          point_cols=point_cols, types=types,
                           interval_cols=interval_cols, bin_width=bin_width,
                           num_partitions=num_partitions),
         batch_format="pyarrow")

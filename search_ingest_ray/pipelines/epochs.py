@@ -281,15 +281,18 @@ def _update_snapshot(index_root: str, delta_paths, epoch: int, *,
         shutil.rmtree(sd, ignore_errors=True)  # clear partial snapshot
         os.makedirs(sd, exist_ok=True)
         if epoch == 0 or base_paths is not None:
+            # a plain read, so apply_epoch takes its column names from
+            # the Parquet footers (a schema() of a projection or of the
+            # fold would run it once more); the fold carries both
+            # epoch and action, which the snapshot drops
             base = rd.read_parquet(base_paths)
-            if _BUCKET_COL in base.schema().names:  # hive key of a snapshot
-                base = base.drop_columns([_BUCKET_COL])
+            cols = base.schema().names
+            if _BUCKET_COL in cols:  # hive key of a snapshot
+                base = rd.read_parquet(
+                    base_paths, columns=[c for c in cols if c != _BUCKET_COL])
             if delta_paths is not None:
-                folded = apply_epoch(base, rd.read_parquet(delta_paths), id_col)
-                drop = [c for c in ("epoch", "action")
-                        if c in folded.schema().names]
-                if drop:
-                    folded = folded.drop_columns(drop)
+                folded = apply_epoch(base, rd.read_parquet(delta_paths),
+                                     id_col).drop_columns(["epoch", "action"])
             else:
                 folded = base
             tagged = folded.map_batches(

@@ -270,10 +270,16 @@ def apply_epoch(base_ds, delta_ds, id_col: str, epoch_col: str = "epoch",
     latest state per id and drops tombstoned docs.  Equivalent reference
     behavior: process_resource created/updated/deleted dispatch
     (/root/reference/src/search-ingest/table.cr:25-46).
+
+    The column names come from ``base_ds.schema()``, which runs nothing
+    for a plain read (Parquet footers) but runs the plan once more for
+    anything mapped or projected, so pass a read.  The result has those
+    columns plus ``epoch_col`` and ``action_col``.
     """
+    cols = list(base_ds.schema().names)
+    cols += [c for c in (epoch_col, action_col) if c not in cols]
     base = base_ds.map_batches(
         tag_base, batch_format="pyarrow",
         fn_kwargs=dict(epoch_col=epoch_col, action_col=action_col))
-    cols = base.schema().names
     merged = base.union(delta_ds.select_columns(cols))
     return fold_last_write_wins(merged, id_col, [epoch_col], action_col)

@@ -1,7 +1,9 @@
-"""Small shared utilities: stable hashing, atomic file writes."""
+"""Small shared utilities: stable hashing, atomic file writes, counting
+the Ray work a call starts."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -103,3 +105,30 @@ def chaos_kill_once(stage: str) -> None:
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)
     os._exit(1)
+
+
+@contextlib.contextmanager
+def counting_ray_work():
+    """Count what this process starts while the block runs: Ray Data
+    executions (``StreamingExecutor.execute``, the perfbench tracer's
+    hook; a ``schema()`` that has to run the plan counts as one) and Ray
+    task submissions.  Yields the live ``{"executions", "tasks"}`` dict."""
+    import ray.remote_function as rf
+    from ray.data._internal.execution import streaming_executor as se
+    counts = {"executions": 0, "tasks": 0}
+    execute, submit = se.StreamingExecutor.execute, rf.RemoteFunction._remote
+
+    def counting_execute(ex, *a, **k):
+        counts["executions"] += 1
+        return execute(ex, *a, **k)
+
+    def counting_submit(fn, *a, **k):
+        counts["tasks"] += 1
+        return submit(fn, *a, **k)
+    se.StreamingExecutor.execute = counting_execute
+    rf.RemoteFunction._remote = counting_submit
+    try:
+        yield counts
+    finally:
+        se.StreamingExecutor.execute = execute
+        rf.RemoteFunction._remote = submit

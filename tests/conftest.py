@@ -54,6 +54,16 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def ray_counts():
+    """Live counts of the Ray Data executions and Ray task submissions
+    this test starts (``util.counting_ray_work``); reset a key to count
+    from a later point."""
+    from search_ingest_ray.util import counting_ray_work
+    with counting_ray_work() as counts:
+        yield counts
+
+
 @pytest.fixture(scope="session")
 def sf_dir():
     return "/root/testdata/sf0.001"

@@ -19,19 +19,6 @@ from search_ingest_ray.pipelines.epochs import (apply_delta_epoch,
                                                 compact_chain, epoch_chain)
 
 
-def _counting(monkeypatch):
-    """Count Ray Data executions (the perfbench tracer's hook)."""
-    from ray.data._internal.execution import streaming_executor as se
-    counts = {"executions": 0}
-    execute = se.StreamingExecutor.execute
-
-    def counting_execute(ex, *a, **k):
-        counts["executions"] += 1
-        return execute(ex, *a, **k)
-    monkeypatch.setattr(se.StreamingExecutor, "execute", counting_execute)
-    return counts
-
-
 def _pages(d, n_files=4, per=60, seed=3):
     os.makedirs(d, exist_ok=True)
     paths = []
@@ -46,71 +33,68 @@ def _pages(d, n_files=4, per=60, seed=3):
 
 
 def test_build_runs_three_executions_and_four_with_hot_terms(
-        ray_session, tmp_path, monkeypatch):
+        ray_session, tmp_path, monkeypatch, ray_counts):
     """On the term exchange (the one-task bound set to 0)."""
     monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
     files = _pages(str(tmp_path / "in"))
     kw = dict(html_col="html", chunk_files=1, num_term_partitions=2,
               store_fields=["lang"])
-    counts = _counting(monkeypatch)
     m = build.build_index(files, str(tmp_path / "a"), **kw)
     assert len(m["chunks"]) == 4
     # stage 1, spill, segments: the default threshold (10,000) cannot be
     # reached by 240 docs, so no hot-term candidate pass runs
-    assert counts["executions"] == 3
+    assert ray_counts["executions"] == 3
     assert m["stats"]["hot_terms"] == {}
     assert {"stage1_s", "stats_and_hot_s", "spill_s",
             "segments_s"} <= set(m["stage_walls"])
     assert "ReadParquet" in m["stage1_ray_stats"]
-    counts["executions"] = 0
+    ray_counts["executions"] = 0
     m = build.build_index(files, str(tmp_path / "b"), hot_df_threshold=20,
                           hot_salt=2, **kw)
-    assert counts["executions"] == 4
+    assert ray_counts["executions"] == 4
     assert m["stats"]["hot_terms"]
 
 
 def test_chain_epoch0_runs_four_executions_and_compaction_three(
-        ray_session, tmp_path, monkeypatch):
+        ray_session, tmp_path, monkeypatch, ray_counts):
     """On the term exchange (the one-task bound set to 0)."""
     monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
-    _assert_chain_executions(tmp_path, monkeypatch, epoch0=4, compaction=3)
+    _assert_chain_executions(tmp_path, ray_counts, epoch0=4, compaction=3)
 
 
 def test_small_build_runs_one_execution_and_two_with_hot_terms(
-        ray_session, tmp_path, monkeypatch):
+        ray_session, tmp_path, ray_counts):
     """Below the one-task bound stage 2 is one Ray task: no spill or
     segment execution."""
     files = _pages(str(tmp_path / "in"))
     kw = dict(html_col="html", chunk_files=1, num_term_partitions=2,
               store_fields=["lang"])
-    counts = _counting(monkeypatch)
     m = build.build_index(files, str(tmp_path / "a"), **kw)
     assert len(m["chunks"]) == 4
-    assert counts["executions"] == 1
+    assert ray_counts["executions"] == 1
     assert m["exchange"] == {"mode": "task", "dir": None, "contract": None}
     assert {"stage1_s", "stats_and_hot_s", "segments_s"} <= \
         set(m["stage_walls"])
     assert m["stage_walls"]["spill_s"] == 0.0
     assert not os.path.exists(os.path.join(build.epoch_dir(
         str(tmp_path / "a"), 0), "exchange"))
-    counts["executions"] = 0
+    ray_counts["executions"] = 0
     m = build.build_index(files, str(tmp_path / "b"), hot_df_threshold=20,
                           hot_salt=2, **kw)
-    assert counts["executions"] == 2  # stage 1 + the hot-term candidates
+    assert ray_counts["executions"] == 2  # stage 1 + the hot-term candidates
     assert m["stats"]["hot_terms"]
 
 
 def test_small_chain_epoch0_runs_two_executions_and_compaction_one(
-        ray_session, tmp_path, monkeypatch):
-    _assert_chain_executions(tmp_path, monkeypatch, epoch0=2, compaction=1)
+        ray_session, tmp_path, ray_counts):
+    _assert_chain_executions(tmp_path, ray_counts, epoch0=2, compaction=1)
 
 
-def _assert_chain_executions(tmp_path, monkeypatch, *, epoch0, compaction):
+def _assert_chain_executions(tmp_path, counts, *, epoch0, compaction):
     files = _pages(str(tmp_path / "in"), n_files=1, per=200)
     kw = dict(id_col="url", html_col="html", analyzer="standard",
               store_fields=["lang"], num_buckets=4)
     root = str(tmp_path / "chain")
-    counts = _counting(monkeypatch)
     apply_delta_epoch(root, None, 0, base_paths=files, **kw)
     assert counts["executions"] == epoch0  # snapshot write + the build's
     base = pq.read_table(files[0])

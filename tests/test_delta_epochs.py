@@ -338,28 +338,8 @@ def test_ten_epoch_chain_matches_full_rebuild_then_compacts(
         np.testing.assert_allclose(s1, s2, rtol=0, atol=0)
 
 
-def _counting(monkeypatch):
-    """Count what the driver starts: Ray Data executions (the perfbench
-    tracer's hook) and Ray task submissions."""
-    import ray.remote_function as rf
-    from ray.data._internal.execution import streaming_executor as se
-    counts = {"executions": 0, "tasks": 0}
-    execute, submit = se.StreamingExecutor.execute, rf.RemoteFunction._remote
-
-    def counting_execute(ex, *a, **k):
-        counts["executions"] += 1
-        return execute(ex, *a, **k)
-
-    def counting_submit(fn, *a, **k):
-        counts["tasks"] += 1
-        return submit(fn, *a, **k)
-    monkeypatch.setattr(se.StreamingExecutor, "execute", counting_execute)
-    monkeypatch.setattr(rf.RemoteFunction, "_remote", counting_submit)
-    return counts
-
-
 def test_delta_epoch_runs_no_ray_data_and_one_task_per_touched_bucket(
-        ray_session, base_dir, tmp_path, monkeypatch):
+        ray_session, base_dir, tmp_path, ray_counts):
     from search_ingest_ray.util import stable_partition_column
     root = str(tmp_path / "idx_tasks")
     apply_delta_epoch(root, None, 0,
@@ -370,19 +350,19 @@ def test_delta_epoch_runs_no_ray_data_and_one_task_per_touched_bucket(
             ("u500", "brand new w1", 1, "created")]
     touched = set(stable_partition_column(
         pa.array([r[0] for r in rows]), KW["num_buckets"]).tolist())
-    counts = _counting(monkeypatch)
+    ray_counts.update(executions=0, tasks=0)
     m = apply_delta_epoch(root, _delta(tmp_path, "d1", rows), 1,
                           mode="delta", **KW)
-    assert counts["executions"] == 0
-    assert 0 < counts["tasks"] <= len(touched) + 1
+    assert ray_counts["executions"] == 0
+    assert 0 < ray_counts["tasks"] <= len(touched) + 1
     assert m["tasks"] == len(touched) + 1
     assert set(m["stage_walls"]) == {"snapshot_s", "old_stats_s",
                                      "segment_s"}
     # a replayed (committed) epoch starts nothing
-    counts["tasks"] = 0
+    ray_counts["tasks"] = 0
     apply_delta_epoch(root, _delta(tmp_path, "d1", rows), 1, mode="delta",
                       **KW)
-    assert counts == {"executions": 0, "tasks": 0}
+    assert ray_counts == {"executions": 0, "tasks": 0}
 
 
 def _old_version_reference(root, epoch, delta_paths, analyzer, html):
@@ -456,18 +436,24 @@ def test_postings_doc_lengths_equal_analyzer_token_counts(
 
 
 def test_delta_over_the_task_bound_is_applied_as_full(
-        ray_session, base_dir, tmp_path, monkeypatch):
+        ray_session, base_dir, tmp_path, monkeypatch, ray_counts):
+    """The full rewrite folds the previous snapshot in the one execution
+    that writes the new snapshot; the build adds its stage 1.  Column
+    names come from the Parquet footers, so no ``schema()`` runs the
+    tagged read or the fold."""
     from search_ingest_ray.pipelines import epochs
     root = str(tmp_path / "idx_big")
     apply_delta_epoch(root, None, 0,
                       base_paths=[os.path.join(base_dir, "base.parquet")],
                       **KW)
     monkeypatch.setattr(epochs, "_TASK_DELTA_BYTES", 1)
+    ray_counts["executions"] = 0
     apply_delta_epoch(root, _delta(tmp_path, "d1", [
         ("u3", "oversized alpha", 1, "updated"),
         ("u5", "", 1, "deleted"),
         ("u300", "oversized beta", 1, "created"),
     ]), 1, mode="delta", **KW)
+    assert ray_counts["executions"] == 2
     assert epoch_chain(root) == [(1, "full")]
     ms = MultiEpochSearcher(root)
     ref = _reference_searcher(root, tmp_path, "big")

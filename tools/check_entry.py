@@ -1,6 +1,9 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry and compare against oracle_sql() via DuckDB (row count + sorted
-column names + order-insensitive value comparison).
+column names + order-insensitive value comparison).  Each result line
+ends with the Ray Data executions the query started (call + read of its
+result), and the summary gives their total, so a query that starts
+running its plan twice shows here.
 
 Usage: python tools/check_entry.py [sf_dir] [only_query1,only_query2,...]
                                    [--json=artifact.json]
@@ -49,6 +52,7 @@ def main():
 
     import duckdb
     import __ray_entry__ as e
+    from search_ingest_ray.util import counting_ray_work
 
     con = duckdb.connect()
     for t in ["region", "nation", "customer", "supplier", "part", "orders",
@@ -64,20 +68,25 @@ def main():
     oracles = e.oracle_sql()
     failures = []
     record = {}
+    total_execs = 0
     for name, fn in qs.items():
         t0 = time.monotonic()
         try:
-            res = to_arrow(fn(sf_dir))
+            with counting_ray_work() as counts:
+                res = to_arrow(fn(sf_dir))
         except Exception as ex:
             failures.append((name, f"RAY ERROR: {ex!r}"))
             record[name] = {"status": "fail_run", "error": repr(ex)}
             print(f"[FAIL-run] {name}: {ex!r}")
             continue
+        execs = counts["executions"]
+        total_execs += execs
         if name not in oracles:
             record[name] = {"status": "rows_only", "rows": res.num_rows,
-                            "cols": res.column_names,
+                            "cols": res.column_names, "executions": execs,
                             "sec": round(time.monotonic() - t0, 2)}
-            print(f"[rows-only] {name}: {res.num_rows} rows, cols={res.column_names}")
+            print(f"[rows-only] {name}: {res.num_rows} rows, "
+                  f"cols={res.column_names}, {execs} exec")
             continue
         try:
             ora = con.execute(oracles[name]).fetch_arrow_table()
@@ -105,9 +114,9 @@ def main():
             print(f"[FAIL-vals] {name}: differing cols {list(neq[neq].index)}")
             print(a.compare(b).head(5) if hasattr(a, 'compare') else '')
             continue
-        record[name] = {"status": "ok", "rows": len(a),
+        record[name] = {"status": "ok", "rows": len(a), "executions": execs,
                         "sec": round(time.monotonic() - t0, 2)}
-        print(f"[OK] {name}: {len(a)} rows")
+        print(f"[OK] {name}: {len(a)} rows, {execs} exec")
 
     # entry smoke
     try:
@@ -117,7 +126,8 @@ def main():
         failures.append(("entry", repr(ex)))
         print(f"[FAIL-entry] {ex!r}")
 
-    print(f"\n{len(failures)} failures" + (f": {[f[0] for f in failures]}" if failures else ""))
+    print(f"\n{total_execs} Ray Data executions over {len(qs)} queries")
+    print(f"{len(failures)} failures" + (f": {[f[0] for f in failures]}" if failures else ""))
     if json_path:
         n_ok = sum(1 for r in record.values() if r["status"] == "ok")
         n_rows_only = sum(1 for r in record.values()
@@ -126,6 +136,7 @@ def main():
             json.dump({"sf_dir": sf_dir, "n_queries": len(record),
                        "n_ok": n_ok, "n_rows_only": n_rows_only,
                        "n_failures": len(failures),
+                       "n_executions": total_execs,
                        "queries": record}, f, indent=1, sort_keys=True)
         print(f"[json] wrote {json_path}")
     ray.shutdown()
