@@ -122,31 +122,49 @@ def _vec_list_array(flat: np.ndarray, dim: int) -> pa.Array:
     return pa.FixedSizeListArray.from_arrays(pa.array(flat, pa.float64()), dim)
 
 
-def _neardup_explode(batch: pa.Table, *, planes: np.ndarray, id_col: str,
-                     vec_col: str) -> pa.Table:
+_NDUP_EXPLODE_SCHEMA = pa.schema([
+    ("table", pa.int32()), ("bucket", pa.int64()), ("id", pa.int64()),
+    ("vec", pa.list_(pa.float64()))])
+_PLANES: dict = {}
+
+
+def _neardup_planes(dim: int, nbits: int, seed: int,
+                    ntables: int) -> np.ndarray:
+    """The (ntables, nbits, dim) hyperplanes of table t = seed + t, drawn
+    once per dimension in each worker."""
+    key = (dim, nbits, seed, ntables)
+    planes = _PLANES.get(key)
+    if planes is None:
+        planes = _PLANES[key] = np.stack([_hyperplanes(dim, nbits, seed + t)
+                                          for t in range(ntables)])
+    return planes
+
+
+def _neardup_explode(batch: pa.Table, *, nbits: int, seed: int,
+                     ntables: int, id_col: str, vec_col: str) -> pa.Table:
     """doc → ``ntables`` rows (table, bucket, id, vec).  The shuffle key is
     the (table, bucket) pair — raw vectors ride along once per table, the
-    heavy text/html columns never enter the exchange."""
+    heavy text/html columns never enter the exchange.  The hyperplanes
+    come from the batch's vector dimension and the seed, so the caller
+    need not read a row to learn the dimension."""
     if batch.num_rows == 0:
-        dim = planes.shape[2]
-        return pa.table({
-            "table": pa.array([], pa.int32()),
-            "bucket": pa.array([], pa.int64()),
-            "id": pa.array([], pa.int64()),
-            "vec": _vec_list_array(np.empty(0, np.float64), dim)})
+        return _NDUP_EXPLODE_SCHEMA.empty_table()
     m = _as_matrix(batch[vec_col])
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     n, dim = m.shape
-    ntables = planes.shape[0]
+    planes = _neardup_planes(dim, nbits, seed, ntables)
     tables, buckets = [], []
     for t in range(ntables):
         tables.append(np.full(n, t, dtype=np.int32))
         buckets.append(_pack_bits((m @ planes[t].T) > 0))
+    # a variable-size list, so an empty batch has the same schema
+    flat = pa.array(np.tile(m.ravel(), ntables), pa.float64())
+    offsets = pa.array(np.arange(n * ntables + 1, dtype=np.int32) * dim)
     return pa.table({
-        "table": pa.array(np.concatenate(tables)),
-        "bucket": pa.array(np.concatenate(buckets)),
-        "id": pa.array(np.tile(ids, ntables)),
-        "vec": _vec_list_array(np.tile(m.ravel(), ntables), dim),
+        "table": pa.array(np.concatenate(tables), pa.int32()),
+        "bucket": pa.array(np.concatenate(buckets), pa.int64()),
+        "id": pa.array(np.tile(ids, ntables), pa.int64()),
+        "vec": pa.ListArray.from_arrays(offsets, flat),
     })
 
 
@@ -201,12 +219,10 @@ def embedding_near_dup(ds, threshold: float = 0.95, id_col: str = "vec_id",
     grow nbits with log2(N) to keep expected bucket size flat; add tables
     to recover the recall a finer bucketing loses.  Table 0 with the same
     seed reproduces the legacy single-table bucketing exactly."""
-    dim = len(ds.take(1)[0][vec_col])
-    planes = np.stack([_hyperplanes(dim, nbits, seed + t)
-                       for t in range(ntables)])
     exploded = ds.map_batches(
         _neardup_explode, batch_format="pyarrow",
-        fn_kwargs=dict(planes=planes, id_col=id_col, vec_col=vec_col))
+        fn_kwargs=dict(nbits=nbits, seed=seed, ntables=ntables,
+                       id_col=id_col, vec_col=vec_col))
     tagged = exploded.map_batches(
         functools.partial(_tag_partition, key_cols=["table", "bucket"],
                           num_partitions=num_partitions),

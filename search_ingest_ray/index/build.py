@@ -57,7 +57,7 @@ from ..corpus import EXTRACTOR_VERSION
 from ..query.bm25 import B_DEFAULT, K1_DEFAULT, BM25Params, idf, tf_norm
 from ..schemas import equivalent_schema
 from ..util import (atomic_write_json, chaos_kill_once, hash_ids, read_json,
-                    term_partition)
+                    stable_partition_column, term_partition)
 from ..stages.analyze import PostingEmitter, extract_batch
 
 log = logging.getLogger(__name__)
@@ -1555,7 +1555,7 @@ def build_index(input_paths, index_root: str, *,
 
 def build_table_index(table: pa.Table, ed: str, *, files: list[str],
                       id_col: str, text_col: str, html_col: str | None,
-                      id_is_int: bool, analyzer: str,
+                      id_is_int: bool, analyzer: str, num_buckets: int,
                       k1: float = K1_DEFAULT, b: float = B_DEFAULT,
                       with_positions: bool = False,
                       store_fields: list[str] | None = None,
@@ -1566,7 +1566,11 @@ def build_table_index(table: pa.Table, ed: str, *, files: list[str],
     epoch's surviving rows).  Writes the layout ``build_index`` writes:
     postings from the same emitter, segments from :func:`build_segments`
     without hot terms (``num_term_partitions`` defaults to 1) and the
-    docvalues sidecar; stage-1 postings are not kept.  Every file is
+    docvalues sidecar.  The postings are kept split by snapshot bucket
+    (``stable_partition_column(id, num_buckets)``) as
+    ``postings/chunk=<B:05d>/part-0.parquet``, the layout of a changefeed's
+    full epoch, so a compaction merges them instead of re-tokenizing;
+    ``postings/_DONE`` commits them.  Every file is
     written tmp + rename, so a rerun is idempotent.
     Returns the manifest parts (``chunks``, ``segments``) and the corpus
     stats for :func:`commit_epoch`."""
@@ -1578,8 +1582,12 @@ def build_table_index(table: pa.Table, ed: str, *, files: list[str],
     n_docs, n_postings = table.num_rows, posts.num_rows
     total_tokens = int(pc.sum(posts["tf"]).as_py() or 0)
     P = int(num_term_partitions or 1)
-    segments_dir = os.path.join(ed, "segments")
     import shutil
+    postings_dir = os.path.join(ed, "postings")
+    shutil.rmtree(postings_dir, ignore_errors=True)
+    _write_bucket_postings(posts, table[id_col], postings_dir,
+                           id_is_int=id_is_int, num_buckets=num_buckets)
+    segments_dir = os.path.join(ed, "segments")
     shutil.rmtree(segments_dir, ignore_errors=True)
     os.makedirs(segments_dir)
     summaries = []
@@ -1606,6 +1614,36 @@ def build_table_index(table: pa.Table, ed: str, *, files: list[str],
             "n_docs": n_docs, "n_postings": n_postings,
             "total_tokens": total_tokens, "num_term_partitions": P,
             "wall_s": wall}
+
+
+def _write_bucket_postings(posts: pa.Table, ids, postings_dir: str, *,
+                           id_is_int: bool, num_buckets: int) -> None:
+    """Write ``posts`` as ``postings_dir/chunk=<B:05d>/part-0.parquet``,
+    one file per snapshot bucket ``B`` of the posting's document (``ids``:
+    the id column of the rows the postings were emitted from), then the
+    ``_DONE`` marker."""
+    if posts.num_rows:
+        ids = ids.combine_chunks() if isinstance(ids, pa.ChunkedArray) \
+            else ids
+        ids = ids.filter(pc.is_valid(ids))
+        docids = (ids.to_numpy(zero_copy_only=False).astype(np.int64)
+                  if id_is_int
+                  else np.array(hash_ids(ids.to_pylist()), dtype=np.int64))
+        order = np.argsort(docids, kind="stable")
+        docids = docids[order]
+        row_bucket = stable_partition_column(ids, num_buckets)[order]
+        pd_ = posts["docid"].to_numpy()
+        at = np.searchsorted(docids, pd_).clip(max=docids.size - 1)
+        if not (docids[at] == pd_).all():
+            raise ValueError("a posting's docid is not among the rows' ids")
+        bucket = row_bucket[at]
+        for b in np.unique(bucket):
+            _write_parquet(posts.filter(pa.array(bucket == b)),
+                           os.path.join(postings_dir, f"chunk={int(b):05d}",
+                                        "part-0.parquet"))
+    os.makedirs(postings_dir, exist_ok=True)
+    with open(os.path.join(postings_dir, "_DONE"), "w") as f:
+        f.write("ok")
 
 
 def commit_epoch(ed: str, manifest: dict, *, n_docs: int, n_postings: int,

@@ -34,9 +34,17 @@ Two index-maintenance modes per epoch:
   stat-drift-corrected block-max bounds (see ``query/multi.py``).  Queries
   go through :class:`~search_ingest_ray.query.multi.MultiEpochSearcher`,
   which suppresses dead docids and scores with the exact CURRENT global
-  stats — results are identical to a full rebuild.  Per-epoch cost is
-  O(delta) tokenize and segment work plus O(touched buckets) snapshot I/O
-  (a touched bucket is rewritten whole), with no Ray Data execution.
+  stats — results are identical to a full rebuild.  The epoch keeps its
+  postings split by snapshot bucket (``postings/chunk=B/``, committed by
+  ``postings/_DONE``).  Per-epoch cost is O(delta) tokenize and segment
+  work plus O(touched buckets) snapshot I/O (a touched bucket is
+  rewritten whole), with no Ray Data execution.
+
+:func:`compact_chain` rolls a delta chain into a new full epoch without
+tokenizing: each bucket touched since the last full epoch merges that
+epoch's postings with the delta epochs' kept postings, dropping the
+docids a later epoch killed (one Ray task per bucket), and every other
+bucket re-links its postings.
 
 Properties preserved from the reference:
 
@@ -63,9 +71,10 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..index.build import (_emit, _write_parquet, build_index,
-                           build_table_index, commit_epoch, epoch_dir,
-                           index_meta, index_meta_matches)
+from ..index.build import (_chunk_record, _emit, _write_fields,
+                           _write_parquet, build_index, build_table_index,
+                           commit_epoch, epoch_dir, index_meta,
+                           index_meta_matches)
 from ..query.bm25 import B_DEFAULT, K1_DEFAULT
 from ..stages.analyze import extract_batch
 from ..stages.fold import _PART_COL, _fold_partition, apply_epoch, tag_base
@@ -134,11 +143,12 @@ def _delta_bytes(files: list[str]) -> int:
     return total
 
 
-def _read_tables(files: list[str]) -> pa.Table | None:
+def _read_tables(files: list[str], columns: list[str] | None = None
+                 ) -> pa.Table | None:
     if not files:
         return None
-    return pa.concat_tables([pq.read_table(f) for f in files],
-                            promote_options="default")
+    return pa.concat_tables([pq.read_table(f, columns=columns)
+                             for f in files], promote_options="default")
 
 
 def _fold_rows(base: pa.Table | None, delta: pa.Table,
@@ -412,15 +422,146 @@ def apply_delta_epoch(index_root: str, delta_paths, epoch: int, *,
     chunks = [_bucket_files(sd, b) for b in range(num_buckets)]
     fps = [f"b{b}:v{versions[str(b)]}" for b in range(num_buckets)]
     build_kwargs.pop("chunk_files", None)  # chunking is per bucket here
+    if reuse_from is None and epoch > 0:
+        reuse_from = epoch - 1
+    merge_s = None
+    if delta_paths is None and base_paths is None and reuse_from is not None:
+        # a compaction: the buckets touched since ``reuse_from`` merge the
+        # chain's kept postings, so build_index finds them done
+        merge_s = _merge_touched_buckets(
+            index_root, epoch, chunks, fps, base=reuse_from, id_col=id_col,
+            id_is_int=id_is_int,
+            store_fields=sorted(build_kwargs.get("store_fields") or []),
+            field_shards=build_kwargs.get("field_shards", 16))
     manifest = build_index(
         chunks, index_root, epoch=epoch, id_col=id_col, text_col=text_col,
         html_col=html_col, id_is_int=id_is_int, analyzer=analyzer,
-        chunk_fingerprints=fps,
-        reuse_from_epoch=(reuse_from if reuse_from is not None
-                          else (epoch - 1 if epoch > 0 else None)),
-        **build_kwargs)
+        chunk_fingerprints=fps, reuse_from_epoch=reuse_from, **build_kwargs)
+    if merge_s is not None:
+        manifest["stage_walls"]["merge_s"] = round(merge_s, 3)
+        atomic_write_json(os.path.join(epoch_dir(index_root, epoch),
+                                       "manifest.json"), manifest)
     _record_chain(index_root, epoch, "full")
     return manifest
+
+
+# ---------------------------------------------------------------------------
+# compaction as a postings merge
+
+
+@ray.remote(max_retries=3)
+def _merge_bucket(sources: list[tuple[list[str], np.ndarray]],
+                  snap_files: list[str], postings_out: str,
+                  fields_out: str, *, id_col: str, id_is_int: bool,
+                  store_fields: list[str], field_shards: int) -> dict:
+    """One touched bucket of a compaction: concatenate each source epoch's
+    kept postings of the bucket without the docids that a later epoch
+    killed (``sources``: (posting files, sorted killed docids) in chain
+    order), write them as the bucket's chunk, and write its docvalues from
+    the snapshot bucket's columns.  Returns the chunk's ``rows`` (snapshot
+    footers) and ``tokens`` (Σ tf).  Tokenizes nothing; files are written
+    tmp + rename under fixed names, so a retried task is idempotent."""
+    t0 = time.monotonic()
+    parts = []
+    for files, killed in sources:
+        for f in files:
+            t = pq.read_table(f)
+            if killed.size:
+                t = t.filter(pa.array(
+                    ~np.isin(t["docid"].to_numpy(), killed)))
+            parts.append(t)
+    posts = pa.concat_tables(parts) if parts else None
+    tokens = int(pc.sum(posts["tf"]).as_py() or 0) if posts else 0
+    if tokens:
+        _write_parquet(posts, os.path.join(postings_out, "part-0.parquet"))
+    # chaos point: a WORKER dies with the merged postings renamed into
+    # place — the retry rewrites the same file
+    chaos_kill_once("merge")
+    if store_fields:
+        _write_fields(_read_tables(snap_files, [id_col] + store_fields),
+                      fields_out, "part-0.parquet", id_col=id_col,
+                      id_is_int=id_is_int, store_fields=store_fields,
+                      field_shards=field_shards)
+    return {"rows": sum(pq.read_metadata(f).num_rows for f in snap_files),
+            "tokens": tokens, "wall_s": time.monotonic() - t0}
+
+
+def _merge_touched_buckets(index_root: str, epoch: int,
+                           chunks: list[list[str]], fps: list[str], *,
+                           base: int, id_col: str, id_is_int: bool,
+                           store_fields: list[str], field_shards: int
+                           ) -> float:
+    """Compaction's stage 1 without tokenizing.  Each bucket whose
+    fingerprint differs from full epoch ``base``'s chunk record takes
+    ``base``'s postings of the bucket plus every later delta epoch's, each
+    without the docids a still later epoch killed — the suppression
+    :class:`~search_ingest_ray.query.multi.MultiEpochSearcher` applies at
+    query time — in one Ray task per bucket (:func:`_merge_bucket`).  The
+    driver commits each merged chunk's record under its fingerprint, so
+    ``build_index`` finds it done.  Merges nothing unless ``base`` is a
+    full epoch and every epoch after it is a delta epoch that kept its
+    postings by bucket; a bucket not merged stays pending for stage 1.
+    Returns the merge wall in seconds."""
+    t0 = time.monotonic()
+    chain = read_json(os.path.join(index_root, "epochs.json"))
+    modes = chain.get("modes", {})
+    later = sorted(e for e in chain["epochs"] if base < e < epoch)
+    base_ed = epoch_dir(index_root, base)
+    if (modes.get(str(base), "full") != "full" or not later
+            or not os.path.exists(os.path.join(base_ed, "manifest.json"))
+            or any(modes.get(str(e)) != "delta" or not os.path.exists(
+                os.path.join(epoch_dir(index_root, e), "postings", "_DONE"))
+                   for e in later)):
+        return time.monotonic() - t0
+    base_chunks = read_json(os.path.join(base_ed, "manifest.json"))["chunks"]
+    dead = [np.load(os.path.join(epoch_dir(index_root, e),
+                                 "dead_docids.npy")) for e in later]
+    # killed[i]: docids that epochs after source i killed (source 0 = base)
+    killed = [np.unique(np.concatenate(dead[i:])) for i in range(len(dead))]
+    killed.append(np.empty(0, np.int64))
+
+    ed = epoch_dir(index_root, epoch)
+    manifest_path = os.path.join(ed, "manifest.json")
+    manifest = read_json(manifest_path) if os.path.exists(manifest_path) \
+        else {"epoch": epoch, "chunks": {}, "segments": {}, "stats": None,
+              "status": "building"}
+    refs = {}
+    for b, (files, fp) in enumerate(zip(chunks, fps)):
+        cid = f"{b:05d}"
+        rec = manifest["chunks"].get(cid) or {}
+        prev = base_chunks.get(cid) or {}
+        if ((rec.get("status") == "done" and rec.get("fingerprint") == fp)
+                or prev.get("status") != "done"
+                or prev.get("fingerprint") in (None, fp) or not files):
+            continue  # done, re-linked by build_index, or not mergeable
+        src = [os.path.join(epoch_dir(index_root, e), "postings",
+                            f"chunk={cid}") for e in [base] + later]
+        sources = [(_parquet_files(d), k) for d, k in zip(src, killed)]
+        out = {d: os.path.join(ed, d, f"chunk={cid}")
+               for d in ("postings", "fields")}
+        for d in out.values():  # a crashed run's partial output
+            shutil.rmtree(d, ignore_errors=True)
+        ref = _merge_bucket.remote(
+            sources, sorted(files), out["postings"], out["fields"],
+            id_col=id_col, id_is_int=id_is_int, store_fields=store_fields,
+            field_shards=field_shards)
+        refs[ref] = (cid, sorted(files), fp)
+    waiting = list(refs)
+    while waiting:
+        ready, waiting = ray.wait(waiting, num_returns=1)
+        for ref in ready:
+            cid, files, fp = refs[ref]
+            out = ray.get(ref)
+            manifest["chunks"][cid] = _chunk_record(
+                files, rows=out["rows"], tokens=out["tokens"],
+                fingerprint=fp, wall_s=out["wall_s"],
+                merged_from_epochs=[base] + later)
+            atomic_write_json(manifest_path, manifest)
+    if refs:
+        # chaos point: driver dies with every merged chunk committed — the
+        # rerun must find them done and merge none again
+        chaos_kill_once(f"merged_e{epoch}")
+    return time.monotonic() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +631,8 @@ def _segment_options(index_root: str, epoch: int, files: list[str], *,
 def _delta_segment(delta_files: list[str], ed: str, *, id_col: str,
                    **build) -> dict:
     """The epoch's own index over the delta's surviving rows, in one task
-    (``build.build_table_index``)."""
+    (``build.build_table_index``, which keeps the postings by snapshot
+    bucket for the next compaction)."""
     live = _fold_rows(None, _read_tables(delta_files), id_col)
     return build_table_index(live, ed, files=delta_files, id_col=id_col,
                              **build)
@@ -513,8 +655,11 @@ def _apply_delta_segments(index_root: str, delta_paths, epoch: int, *,
     t0 = time.monotonic()
     # dispatched first: the segment task needs only the delta, so it runs
     # beside the bucket tasks
+    num_buckets = int(read_json(os.path.join(
+        index_root, "snapshot_meta.json"))["num_buckets"])
     seg_ref = None if manifest.get("status") == "done" else \
-        _delta_segment.remote(files, ed, id_col=id_col, **analysis,
+        _delta_segment.remote(files, ed, id_col=id_col,
+                              num_buckets=num_buckets, **analysis,
                               **seg_opts)
     _update_snapshot(index_root, files, epoch, id_col=id_col,
                      num_buckets=num_buckets, dead_set=analysis)
@@ -599,17 +744,25 @@ def compact_chain(index_root: str, *, id_col: str = "url",
     The latest bucketed snapshot already holds the folded logical state
     (every delta epoch advances it), so compaction is a no-delta full
     apply at ``latest + 1``: all buckets hard-link from the previous
-    snapshot with their versions UNCHANGED, and the full build re-links
-    postings for every bucket untouched since the LAST FULL epoch
-    (``reuse_from``) — stage 1 is O(rows changed since the last full
-    build), stage 2 rebuilds segments with exact stored block-max bounds
-    and NO dead-docid suppression.  After compaction
-    :func:`epoch_chain` starts at the new epoch, so
+    snapshot with their versions UNCHANGED.  It tokenizes nothing.  A
+    bucket untouched since the LAST FULL epoch re-links that epoch's
+    postings (``reuse_from``); a touched bucket merges them with each
+    delta epoch's kept postings of the bucket, without the docids a later
+    epoch killed, in one Ray task per bucket
+    (:func:`_merge_touched_buckets`), and writes its docvalues from the
+    snapshot bucket's columns.  The work is O(postings of the touched
+    buckets).  Stage 2 rebuilds the segments with exact stored block-max
+    bounds and NO dead-docid suppression; below the one-task bound the
+    compaction starts no Ray Data execution.  A chain whose delta epochs
+    kept no postings (written before they did) re-tokenizes its touched
+    buckets in stage 1 instead.  After compaction :func:`epoch_chain`
+    starts at the new epoch, so
     :class:`~search_ingest_ray.query.multi.MultiEpochSearcher` collapses
     to single-epoch serving (no per-query dead-set masks or df patches).
     Idempotent/resumable through the same snapshot + manifest markers as
-    any full epoch.  No-op (returns the latest manifest) when the chain
-    is already a single full epoch."""
+    any full epoch; a merged chunk's record is committed as its task
+    finishes, so a resumed compaction merges it no more.  No-op (returns
+    the latest manifest) when the chain is already a single full epoch."""
     chain = epoch_chain(index_root)
     last_full, latest = chain[0][0], chain[-1][0]
     if latest == last_full:

@@ -55,11 +55,13 @@ def test_build_runs_three_executions_and_four_with_hot_terms(
     assert m["stats"]["hot_terms"]
 
 
-def test_chain_epoch0_runs_four_executions_and_compaction_three(
+def test_chain_epoch0_runs_four_executions_and_compaction_two(
         ray_session, tmp_path, monkeypatch, ray_counts):
-    """On the term exchange (the one-task bound set to 0)."""
+    """On the term exchange (the one-task bound set to 0): the
+    compaction merges its touched buckets' postings and runs only the
+    spill and segment executions."""
     monkeypatch.setattr(build, "_TASK_POSTINGS", 0)
-    _assert_chain_executions(tmp_path, ray_counts, epoch0=4, compaction=3)
+    _assert_chain_executions(tmp_path, ray_counts, epoch0=4, compaction=2)
 
 
 def test_small_build_runs_one_execution_and_two_with_hot_terms(
@@ -85,9 +87,9 @@ def test_small_build_runs_one_execution_and_two_with_hot_terms(
     assert m["stats"]["hot_terms"]
 
 
-def test_small_chain_epoch0_runs_two_executions_and_compaction_one(
+def test_small_chain_epoch0_runs_two_executions_and_compaction_none(
         ray_session, tmp_path, ray_counts):
-    _assert_chain_executions(tmp_path, ray_counts, epoch0=2, compaction=1)
+    _assert_chain_executions(tmp_path, ray_counts, epoch0=2, compaction=0)
 
 
 def _assert_chain_executions(tmp_path, counts, *, epoch0, compaction):
@@ -106,9 +108,15 @@ def _assert_chain_executions(tmp_path, counts, *, epoch0, compaction):
         pq.write_table(upd, p)
         apply_delta_epoch(root, [p], epoch, mode="delta", **kw)
     counts["executions"] = 0
-    compact_chain(root, **{k: v for k, v in kw.items() if k != "num_buckets"})
+    m = compact_chain(root, **{k: v for k, v in kw.items()
+                               if k != "num_buckets"})
     assert counts["executions"] == compaction
     assert epoch_chain(root) == [(3, "full")]
+    # no chunk was tokenized: each is merged or re-linked
+    assert "stage1_ray_stats" not in m
+    assert all("merged_from_epochs" in r or "reused_from_epoch" in r
+               for r in m["chunks"].values())
+    assert {"merge_s", "stage1_s"} <= set(m["stage_walls"])
 
 
 def _chunk_tables(d: str) -> pa.Table | None:

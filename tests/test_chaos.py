@@ -147,10 +147,26 @@ KW = dict(id_col="url", analyzer="simple", num_term_partitions=2,
 apply_delta_epoch(root, None, 0, base_paths=[base], mode="full", **KW)
 apply_delta_epoch(root, [d1], 1, mode="full", **KW)
 apply_delta_epoch(root, [d2], 2, mode="delta", **KW)
+
+def merged_files():
+    # chunk -> mtime of the compaction's committed merged postings
+    ed = os.path.join(root, "epochs", "e0003")
+    mp = os.path.join(ed, "manifest.json")
+    recs = json.load(open(mp))["chunks"] if os.path.exists(mp) else {}
+    out = {}
+    for c, r in recs.items():
+        f = os.path.join(ed, "postings", f"chunk={c}", "part-0.parquet")
+        if "merged_from_epochs" in r and os.path.exists(f):
+            out[c] = os.stat(f).st_mtime_ns
+    return out
+
 # compaction (force-merge) epoch: crash-resumable through the same
-# snapshot/prebuild markers — its e3 kill flags fire in the chaos run
+# snapshot/prebuild markers and its committed merged chunks — its e3 kill
+# flags fire in the chaos run
+committed = merged_files()
 compact_chain(root, **{k: v for k, v in KW.items()
                        if k != "num_buckets"})
+merged = merged_files()
 
 ms = MultiEpochSearcher(root)
 results = []
@@ -174,6 +190,9 @@ print("RESULT " + json.dumps({
     "snapshot_fp": hashlib.md5(json.dumps(rows).encode()).hexdigest(),
     "n_rows": len(rows),
     "chain": epoch_chain(root),
+    "merged": sorted(merged),
+    "resumed_merged": len(committed),
+    "remerged": sorted(c for c in committed if merged.get(c) != committed[c]),
     "killed": sorted(os.listdir(chaos_dir)) if chaos_dir else [],
 }))
 ray.shutdown()
@@ -321,9 +340,17 @@ def test_epoch_apply_driver_crashes_resume_identically(tmp_path):
                  # compaction epoch: driver dies at the snapshot-link and
                  # prebuild commit points; the rerun resumes to an
                  # identical force-merged index
-                 "killed_snapshot_e3", "killed_epoch_prebuild_e3"):
+                 "killed_snapshot_e3", "killed_epoch_prebuild_e3",
+                 # a merge task's WORKER dies (Ray retries it), then the
+                 # driver dies with the merged chunks committed
+                 "killed_merge", "killed_merged_e3"):
         assert flag in chaos["killed"], chaos["killed"]
     assert clean["killed"] == []
+    # the compaction merged postings, and its rerun merged no committed
+    # chunk again
+    assert chaos["merged"] == clean["merged"] != []
+    assert chaos["resumed_merged"] == len(chaos["merged"])
+    assert chaos["remerged"] == []
     assert chaos["stats"] == clean["stats"]
     assert chaos["chain"] == clean["chain"]
     assert chaos["n_rows"] == clean["n_rows"]

@@ -1,7 +1,8 @@
 """Chain compaction (ES force-merge analog): rolling a full→delta→delta
 chain into a new FULL epoch must (a) return bit-identical query results,
-(b) re-tokenize only the buckets touched since the LAST FULL epoch
-(manifest lineage shows every other chunk hard-link-reused), (c) collapse
+(b) tokenize nothing: the buckets touched since the LAST FULL epoch
+merge the chain's kept postings and every other chunk is
+hard-link-reused (manifest lineage), (c) collapse
 MultiEpochSearcher to single-epoch serving, and (d) keep accepting deltas
 afterwards."""
 
@@ -87,16 +88,18 @@ def test_compaction_identity_lineage_and_continuity(chain_root):
     assert int(stats_after["total_tokens"]) == \
         int(stats_before["total_tokens"])
 
-    # lineage: only buckets touched by d1 ∪ d2 re-tokenized; the rest
-    # hard-link-reused from the LAST FULL epoch (e0)
-    touched = set(stable_partition_column(
-        pa.array(["u3", "u17", "u300", "u5"]), NB).tolist())
+    # lineage: no chunk was tokenized — the buckets touched by d1 ∪ d2
+    # merged the chain's kept postings, the rest hard-link-reused the
+    # LAST FULL epoch's (e0)
+    touched = {f"{b:05d}" for b in stable_partition_column(
+        pa.array(["u3", "u17", "u300", "u5"]), NB).tolist()}
     reused = {cid for cid, rec in m["chunks"].items()
               if rec.get("reused_from_epoch") == 0}
-    fresh = {cid for cid, rec in m["chunks"].items()
-             if "reused_from_epoch" not in rec}
-    assert len(reused) == NB - len(touched)
-    assert len(fresh) == len(touched)
+    merged = {cid for cid, rec in m["chunks"].items()
+              if rec.get("merged_from_epochs") == [0, 1, 2]}
+    assert merged == touched
+    assert reused == set(m["chunks"]) - touched
+    assert "stage1_ray_stats" not in m
 
     # compacting an already-single-full chain is a no-op
     m2 = compact_chain(root, **{k: v for k, v in KW.items()
