@@ -211,65 +211,10 @@ def warm_aux_indexes(sf_dir: str) -> dict:
 
 
 def bench_sf_queries(sf_dir: str) -> dict:
-    """Time the driver-facing queries over the sf dir (seconds each)."""
+    """Time every ``queries()`` entry over the sf dir (seconds each)."""
     import __ray_entry__ as e
     times = {}
-    for name in ["doc_count_by_lang", "token_count", "term_df", "top_terms",
-                 "bm25_topk", "bm25_filtered", "bm25_topk_docs",
-                 "dedup_exact", "events_fold",
-                 "replicate_orders", "has_child_orders", "has_parent_orders",
-                 "ann_cosine", "quality",
-                 "minhash_pairs", "simhash", "fingerprint",
-                 "events_fold_partial", "keyword_exact",
-                 "phrase_match", "phrase_common", "embedding_near_dup",
-                 "ann_lsh", "bm25_chain", "suggest",
-                 "asof_orders", "range_price", "window_events", "sessions",
-                 # round-3 query-DSL / aggs / distributed serving
-                 "bool_query", "search_after", "multi_match", "facet_lang",
-                 "top_hits", "sig_terms", "rescore", "date_histogram",
-                 "bm25_sharded",
-                 # training-data hygiene (late round 3)
-                 "decontaminate", "dup_ngrams", "repetition",
-                 "dedup_clusters", "corpus_filter",
-                 # round 4: geo filters + real JPEG decode
-                 "geo_distance", "geo_bbox", "jpeg_features",
-                 # late round 4: remaining typed filters + text hygiene
-                 "geo_polygon", "geo_shape", "exists", "gif_features",
-                 "gopher_rules", "span_dedup", "pii_scrub", "langid",
-                 "ann_ivf", "window_sliding", "interval_orders",
-                 "sample_docs", "stratified_sample", "mixture_mix",
-                 "video_features", "bpe_pairs", "bpe_tokenize",
-                 "oov_rate", "semantic_dedup", "shard_plan", "pack_plan",
-                 "hll_card", "group_topk", "weighted_sample",
-                 # fourth continuation session: hybrid retrieval, LM
-                 # quality, remaining exact-integer aggs
-                 "rrf_hybrid", "unigram_ppl", "matrix_stats",
-                 "top_metrics", "mad",
-                 # fifth continuation session: URL canonicalization family
-                 # + schema-on-read JSON projection
-                 "url_canon", "url_dedup", "host_stats", "json_fields",
-                 # sixth continuation session: RefinedWeb line dedup +
-                 # ES agg sweep completion
-                 "line_dedup", "boxplot", "string_stats", "t_test",
-                 "sampler",
-                 # seventh continuation session: similarity modules,
-                 # intervals, typed-ip CIDR, match_bool_prefix
-                 "lmd_topk", "lmjm_topk", "tfidf_topk", "lmd_sharded",
-                 "intervals", "ip_cidr", "match_bool_prefix",
-                 "derivative", "max_bucket", "quality_classifier",
-                 "lmd_chain",
-                 # round 5: geo aggs + pipeline-agg sweep completion
-                 "weighted_avg_filter", "geo_bounds", "geo_centroid",
-                 "stats_bucket", "normalize_agg", "bucket_script",
-                 "cumulative_cardinality", "pinned", "span_not",
-                 "bm25_compacted", "geo_sort", "url_blocklist",
-                 "chunk_plan", "function_score_gauss",
-                 "compression_ratio", "doc_keywords",
-                 "percentiles_bucket", "bucket_sort", "date_range",
-                 "geohash", "moving_percentile", "ip_prefix",
-                 "span_within", "incremental_dedup",
-                 "incremental_near_dup", "rate_agg"]:
-        fn = e.queries()[name]
+    for name, fn in e.queries().items():
         t0 = time.monotonic()
         fn(sf_dir)  # queries() results come back materialized
         times[name] = round(time.monotonic() - t0, 3)

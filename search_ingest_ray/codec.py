@@ -1,12 +1,17 @@
-"""Posting-list codec: delta encoding, varint compression, block-max skips.
+"""Posting-list codec: LEB128 varints, vectorized in numpy.
 
 This is the native replacement for the index encoding the reference delegates
 to Elasticsearch/Lucene (the reference only *specifies* mappings —
 /root/reference/src/search-ingest/schemas.cr:50-83 — and ships documents;
 posting-list construction happens inside ES).  Per the north rule we build it
-from scratch: docids are delta-encoded and varint-compressed in blocks of
-``BLOCK`` postings, with per-block skip metadata (last docid, byte offsets,
-block-max BM25 score) enabling Block-Max WAND.
+from scratch.  The one encoder is the segment builder
+(``index.build.build_segment_group``): it delta-encodes each posting list's
+docids in blocks of ``BLOCK`` postings through
+:func:`encode_varint_with_lengths` and records per-block skip metadata (last
+docid, byte offsets, block-max BM25 score) for Block-Max WAND.  The searcher
+decodes through :func:`decode_varint` and :func:`decode_positions`;
+:func:`encode_varint` and :func:`encode_positions` are the reference encoders
+those decoders are tested against.
 
 All encode/decode paths are numpy-vectorized — no Python loop per posting.
 """
@@ -125,109 +130,3 @@ def decode_positions(blob, tfs: np.ndarray) -> list[np.ndarray]:
     flat = c - np.repeat(base, counts)
     bounds = np.concatenate([firsts, [total]])
     return [flat[bounds[i]:bounds[i + 1]] for i in range(len(counts))]
-
-
-def encode_postings(docids: np.ndarray, tfs: np.ndarray,
-                    dls: np.ndarray | None = None,
-                    scores: np.ndarray | None = None):
-    """Encode one term's posting list.
-
-    ``docids`` must be sorted ascending, non-negative int64/uint64;
-    ``tfs`` parallel term frequencies; ``dls`` optional parallel document
-    lengths (needed for exact query-time BM25 without a docid join);
-    ``scores`` optional parallel exact BM25 contributions (used only for the
-    per-block max — the skip bound).
-
-    Returns a dict of plain-python/numpy values ready to be stored as one
-    Arrow row: ``doc_blob``/``tf_blob``/``dl_blob`` (bytes), ``df`` (int),
-    ``skip_last`` (uint64[]), ``skip_doc_off``/``skip_tf_off``/
-    ``skip_dl_off`` (int32[] — byte offset of each block's start),
-    ``skip_max_score`` (float32[]).
-
-    Each block's deltas restart from the previous block's last docid, so a
-    block is independently decodable given ``skip_last[b-1]``.
-    """
-    d = np.ascontiguousarray(docids, dtype=np.uint64)
-    t = np.ascontiguousarray(tfs, dtype=np.uint64)
-    n = d.size
-    if n == 0:
-        raise ValueError("empty posting list")
-    if n > 1 and not np.all(d[1:] > d[:-1]):
-        raise ValueError("docids must be strictly increasing")
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = d[0]
-    np.subtract(d[1:], d[:-1], out=deltas[1:])
-    dl = None if dls is None else np.ascontiguousarray(dls, dtype=np.uint64)
-
-    nblocks = (n + BLOCK - 1) // BLOCK
-    doc_parts: list[bytes] = []
-    tf_parts: list[bytes] = []
-    dl_parts: list[bytes] = []
-    skip_doc_off = np.empty(nblocks, dtype=np.int32)
-    skip_tf_off = np.empty(nblocks, dtype=np.int32)
-    skip_dl_off = np.empty(nblocks, dtype=np.int32)
-    skip_last = np.empty(nblocks, dtype=np.uint64)
-    skip_max_score = np.zeros(nblocks, dtype=np.float32)
-    doff = toff = loff = 0
-    for b in range(nblocks):
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, n)
-        skip_doc_off[b] = doff
-        skip_tf_off[b] = toff
-        skip_dl_off[b] = loff
-        skip_last[b] = d[hi - 1]
-        dp = encode_varint(deltas[lo:hi])
-        tp = encode_varint(t[lo:hi])
-        doc_parts.append(dp)
-        tf_parts.append(tp)
-        doff += len(dp)
-        toff += len(tp)
-        if dl is not None:
-            lp = encode_varint(dl[lo:hi])
-            dl_parts.append(lp)
-            loff += len(lp)
-        if scores is not None:
-            skip_max_score[b] = np.float32(scores[lo:hi].max())
-    return {
-        "df": int(n),
-        "doc_blob": b"".join(doc_parts),
-        "tf_blob": b"".join(tf_parts),
-        "dl_blob": b"".join(dl_parts) if dl is not None else b"",
-        "skip_last": skip_last,
-        "skip_doc_off": skip_doc_off,
-        "skip_tf_off": skip_tf_off,
-        "skip_dl_off": skip_dl_off,
-        "skip_max_score": skip_max_score,
-    }
-
-
-def decode_postings(doc_blob: bytes, tf_blob: bytes, df: int,
-                    dl_blob: bytes | None = None):
-    """Full decode of one posting list → (docids, tfs[, dls]) uint64[]."""
-    deltas = decode_varint(doc_blob, count=df)
-    docids = np.cumsum(deltas, dtype=np.uint64)
-    tfs = decode_varint(tf_blob, count=df)
-    if dl_blob:
-        return docids, tfs, decode_varint(dl_blob, count=df)
-    return docids, tfs
-
-
-def _block_slice(blob: bytes, offs: np.ndarray, block_idx: int) -> np.ndarray:
-    lo = int(offs[block_idx])
-    hi = int(offs[block_idx + 1]) if block_idx + 1 < len(offs) else len(blob)
-    return np.frombuffer(blob, dtype=np.uint8)[lo:hi]
-
-
-def decode_block(doc_blob: bytes, tf_blob: bytes, df: int, block_idx: int,
-                 skip_last: np.ndarray, skip_doc_off: np.ndarray,
-                 skip_tf_off: np.ndarray, dl_blob: bytes | None = None,
-                 skip_dl_off: np.ndarray | None = None):
-    """Decode a single block (for block-skipping iterators)."""
-    count = min(BLOCK, df - block_idx * BLOCK)
-    deltas = decode_varint(_block_slice(doc_blob, skip_doc_off, block_idx), count=count)
-    base = np.uint64(skip_last[block_idx - 1]) if block_idx > 0 else np.uint64(0)
-    docids = np.cumsum(deltas, dtype=np.uint64) + base
-    tfs = decode_varint(_block_slice(tf_blob, skip_tf_off, block_idx), count=count)
-    if dl_blob is not None and skip_dl_off is not None:
-        dls = decode_varint(_block_slice(dl_blob, skip_dl_off, block_idx), count=count)
-        return docids, tfs, dls
-    return docids, tfs

@@ -180,20 +180,16 @@ def _stage1_batch(batch: pa.Table, *, chunk_of: dict, postings_dir: str,
                      "tokens": pa.array(out_t, pa.int64())})
 
 
-def _link_tree(src: str, dst: str, suffixes: tuple[str, ...] | None = None
-               ) -> None:
+def _link_tree(src: str, dst: str) -> None:
     """RECURSIVELY hard-link every file of ``src`` into ``dst`` (preserving
     subdirectories, e.g. fshard=S hive partitions); falls back to copy
-    across filesystems.  ``suffixes`` optionally restricts which files are
-    linked (merge links only data files, never per-store metadata)."""
+    across filesystems."""
     import shutil
     for rdir, _, fs in os.walk(src):
         rel = os.path.relpath(rdir, src)
         dd = os.path.join(dst, rel) if rel != "." else dst
         os.makedirs(dd, exist_ok=True)
         for f in fs:
-            if suffixes is not None and not f.endswith(suffixes):
-                continue
             sp, dp = os.path.join(rdir, f), os.path.join(dd, f)
             if os.path.isfile(sp) and not os.path.exists(dp):
                 try:
@@ -442,7 +438,7 @@ def build_segment_group(group: pa.Table, *, segments_dir: str,
     "Contention diagnosis revised").  Consumers address ``postings.bin``
     exclusively through the absolute ``(off, len)`` pairs in
     ``segment.parquet``, so the bucket-major file layout is transparent to
-    queries, merge, and snapshots."""
+    queries and snapshots."""
     # crash-recovery hook (inert in production): a builder lost mid-segment
     # leaves only .tmp litter — the atomic rename means the retry starts
     # from the spill files and publishes a complete segment or nothing.
@@ -1220,9 +1216,12 @@ def build_index(input_paths, index_root: str, *,
                         # fshard=S subdirs survive the link (recursive)
                         _link_tree(fsrc,
                                    os.path.join(fields_dir, f"chunk={cid}"))
-                    manifest["chunks"][cid] = {
-                        **prev, "files": files,
-                        "reused_from_epoch": reuse_from_epoch}
+                    # a fresh record: no lineage of the reuse epoch's own
+                    # merge or re-link carries over
+                    manifest["chunks"][cid] = _chunk_record(
+                        files, rows=prev["rows"], tokens=prev["tokens"],
+                        fingerprint=fp, wall_s=0.0,
+                        reused_from_epoch=reuse_from_epoch)
                     atomic_write_json(manifest_path, manifest)
                     chunks_changed = True
                     continue

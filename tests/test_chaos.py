@@ -65,39 +65,6 @@ ray.shutdown()
 """
 
 
-_MERGE_SCRIPT = r"""
-import glob, json, os, sys
-import ray
-ray.init(address="local", num_cpus=4, include_dashboard=False)
-from search_ingest_ray.corpus import query_set
-from search_ingest_ray.index.build import build_index
-from search_ingest_ray.index.merge import merge_indexes
-from search_ingest_ray.query.searcher import Searcher
-
-corpus, work = sys.argv[1], sys.argv[2]
-files = sorted(glob.glob(os.path.join(corpus, "*.parquet")))
-ra, rb, rm = (os.path.join(work, n) for n in ("a", "b", "m"))
-for files_i, root_i in ((files[:2], ra), (files[2:], rb)):
-    build_index(files_i, root_i, html_col="html", chunk_files=1,
-                num_term_partitions=4, hot_df_threshold=150, hot_salt=2)
-merge_indexes([ra, rb], rm, concurrency=2)
-s = Searcher(rm)
-st = s.index_stats()
-results = []
-for terms in query_set(seed=11, n=6):
-    d, sc = s.search_terms(terms, k=10)
-    results.append([terms, [int(x) for x in d],
-                    [round(float(x), 9) for x in sc]])
-chaos_dir = os.environ.get("SI_CHAOS_DIR")
-print("RESULT " + json.dumps({
-    "stats": {k: st[k][0].as_py() for k in st.column_names},
-    "results": results,
-    "killed": sorted(os.listdir(chaos_dir)) if chaos_dir else [],
-}))
-ray.shutdown()
-"""
-
-
 _EPOCH_SCRIPT = r"""
 import hashlib, json, os, sys
 import numpy as np
@@ -239,7 +206,7 @@ ray.shutdown()
 
 
 def _run(corpus_dir: str, root: str, chaos_dir: str | None,
-         script: str = _SCRIPT, args: tuple = ()) -> dict:
+         args: tuple = ()) -> dict:
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)
     if chaos_dir:
@@ -247,7 +214,7 @@ def _run(corpus_dir: str, root: str, chaos_dir: str | None,
     else:
         env.pop("SI_CHAOS_DIR", None)
     out = subprocess.run(
-        [sys.executable, "-c", script, corpus_dir, root, *args],
+        [sys.executable, "-c", _SCRIPT, corpus_dir, root, *args],
         capture_output=True, text=True, cwd=REPO, env=env, timeout=600)
     assert out.returncode == 0, out.stderr[-4000:]
     line = [ln for ln in out.stdout.splitlines()
@@ -355,22 +322,6 @@ def test_epoch_apply_driver_crashes_resume_identically(tmp_path):
     assert chaos["chain"] == clean["chain"]
     assert chaos["n_rows"] == clean["n_rows"]
     assert chaos["snapshot_fp"] == clean["snapshot_fp"]
-    assert chaos["results"] == clean["results"]
-
-
-def test_merger_actor_death_yields_identical_merged_index(corpus_dir,
-                                                          tmp_path):
-    """A SegmentMerger actor dies mid-merge (plus the build-stage kills
-    during the first sub-index build); Ray restarts the actor and the
-    merged index is identical to a clean run's."""
-    chaos_dir = str(tmp_path / "chaos")
-    os.makedirs(chaos_dir)
-    clean = _run(corpus_dir, str(tmp_path / "w_clean"), None,
-                 script=_MERGE_SCRIPT)
-    chaos = _run(corpus_dir, str(tmp_path / "w_chaos"), chaos_dir,
-                 script=_MERGE_SCRIPT)
-    assert "killed_merge" in chaos["killed"]
-    assert chaos["stats"] == clean["stats"]
     assert chaos["results"] == clean["results"]
 
 

@@ -1,14 +1,10 @@
-"""Round-trip and block-access tests for the posting-list codec."""
+"""Round-trip tests for the posting-list codec's varint streams."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from search_ingest_ray.codec import (
-    BLOCK, decode_block, decode_postings, decode_varint, encode_postings,
-    encode_varint,
-)
+from search_ingest_ray.codec import decode_varint, encode_varint
 
 
 def test_varint_roundtrip_edges():
@@ -27,43 +23,3 @@ def test_varint_empty():
 def test_varint_roundtrip_property(vals):
     v = np.array(vals, dtype=np.uint64)
     assert np.array_equal(decode_varint(encode_varint(v)), v)
-
-
-def _random_list(n, seed=0):
-    rng = np.random.default_rng(seed)
-    d = np.unique(rng.integers(0, 2**40, size=n, dtype=np.uint64))
-    tf = rng.integers(1, 1000, size=d.size, dtype=np.uint64)
-    sc = rng.random(d.size).astype(np.float32)
-    return d, tf, sc
-
-
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 5000])
-def test_postings_roundtrip(n):
-    d, tf, sc = _random_list(n, seed=n)
-    enc = encode_postings(d, tf, dls=None, scores=sc)
-    dd, tt = decode_postings(enc["doc_blob"], enc["tf_blob"], enc["df"])
-    assert np.array_equal(dd, d)
-    assert np.array_equal(tt, tf)
-
-
-def test_block_access_matches_full_decode():
-    d, tf, sc = _random_list(1000, seed=7)
-    enc = encode_postings(d, tf, dls=None, scores=sc)
-    nblocks = len(enc["skip_doc_off"])
-    for b in range(nblocks):
-        bd, bt = decode_block(enc["doc_blob"], enc["tf_blob"], enc["df"], b,
-                              enc["skip_last"], enc["skip_doc_off"], enc["skip_tf_off"])
-        lo, hi = b * BLOCK, min((b + 1) * BLOCK, d.size)
-        assert np.array_equal(bd, d[lo:hi])
-        assert np.array_equal(bt, tf[lo:hi])
-        assert enc["skip_last"][b] == d[hi - 1]
-        assert enc["skip_max_score"][b] == sc[lo:hi].max()
-
-
-def test_rejects_unsorted():
-    with pytest.raises(ValueError):
-        encode_postings(np.array([3, 1], dtype=np.uint64),
-                        np.array([1, 1], dtype=np.uint64))
-    with pytest.raises(ValueError):
-        encode_postings(np.array([1, 1], dtype=np.uint64),
-                        np.array([1, 1], dtype=np.uint64))

@@ -135,6 +135,9 @@ def _compact_both_ways(root: str, tmp_path, name: str, kw: dict):
         else:
             assert rec.get("reused_from_epoch") == last_full or \
                 rec["rows"] == 0
+            # a re-linked chunk carries no lineage of the epoch it came
+            # from (which may itself be a merged compaction)
+            assert "merged_from_epochs" not in rec
     # ... to the same index
     assert merged == retok
     return copy
