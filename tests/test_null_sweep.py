@@ -6,20 +6,22 @@ composite null keys).  Instead of fixing those one at a time, this sweep
 builds one index whose stored fields exercise ALL the missing-value
 shapes at once —
 
-- ``stars``: int64, nulls on some matched docs (the float64+NaN shard
-  round-trip path),
+- ``stars``: int64, nulls on some matched docs,
 - ``lang``:  string, nulls on some matched docs (object-dtype sort path),
 - ``ghost``: int64, null on EVERY doc (the n=0 aggregate edge),
 - ``ts``:    timestamp[us], partial nulls (the cast chain),
 
 — and calls every field-parameterized Searcher method against each
-type-appropriate field, asserting it returns rather than raising and
-that all-null fields behave as an empty match (ES skips docs without
-the field).  Any future docvalue consumer added to Searcher should be
-appended to the sweep lists below.
+type-appropriate field, once over a match set that covers every doc and
+once over an empty match set.  Each call's rows and column types are
+pinned in ``null_sweep_pins.json``; all-null fields behave as an empty
+match (ES skips docs without the field).  Any future docvalue consumer
+added to Searcher should be appended to :func:`_sweep`, with its pin.
 """
 
-import numpy as np
+import json
+import os
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -36,7 +38,11 @@ ROWS = [
     ("n4", "alpha beta beta",   1,    None, 1_700_007_200_000_000),
     ("n5", "gamma gamma alpha", None, "fr", 1_700_000_000_000_000),
 ]
-TERMS = ["alpha", "beta"]  # matches every doc but n2... (n2 has beta) → all
+TERMS = ["alpha", "beta"]   # every doc contains one of them
+NO_MATCH = ["zzz"]          # no doc does: the empty match set
+H = 3_600_000_000
+
+PINS_PATH = os.path.join(os.path.dirname(__file__), "null_sweep_pins.json")
 
 
 @pytest.fixture(scope="module")
@@ -58,88 +64,104 @@ def sweep_searcher(ray_session, tmp_path_factory):
     return Searcher(root)
 
 
-INT_FIELDS = ["stars", "ghost"]
-STR_FIELDS = ["lang"]
-
-
-def _int_field_calls(s, field):
-    return [
-        lambda: s.search_sort_by(TERMS, field),
-        lambda: s.agg_stats(TERMS, field),
-        lambda: s.agg_histogram(TERMS, field, 2),
-        lambda: s.agg_cardinality(TERMS, field),
-        lambda: s.agg_extended_stats(TERMS, field),
-        lambda: s.agg_composite(TERMS, [field], size=3),
-        lambda: s.function_score_linear(TERMS, field, origin=3, scale=4),
-        lambda: s.rank_feature_saturation(TERMS, field, pivot=3),
-        lambda: s.agg_cumulative_histogram(TERMS, field, 2),
-        lambda: s.agg_multi_terms(TERMS, [field]),
-        lambda: s.agg_range(TERMS, field, [2, 5]),
-        lambda: s.agg_percentiles(TERMS, field, [50, 99]),
-        lambda: s.terms_set(TERMS, field),
-        lambda: s.distance_feature(TERMS, field, origin=3, pivot=2),
-        lambda: s.agg_percentile_ranks(TERMS, field, [3]),
-        lambda: s.facet_stats(TERMS, "lang", field),
-        lambda: s.facet_stats(TERMS, field, "stars"),
-        # round-5 consumers
-        lambda: s.agg_weighted_avg(TERMS, field, "stars"),
-        lambda: s.agg_weighted_avg(TERMS, "stars", field),
-        lambda: s.function_score_gauss(TERMS, field, origin=3, scale=4),
-        lambda: s.agg_date_range(TERMS, field, [2, 5]),
-        lambda: s.agg_cumulative_cardinality(TERMS, "ts", field,
-                                             3_600_000_000),
-    ]
-
-
-def _str_field_calls(s, field):
-    return [
-        lambda: s.facet_counts(TERMS, field),
-        lambda: s.agg_top_hits(TERMS, field),
-        lambda: s.collapse_top(TERMS, field),
-        lambda: s.agg_composite(TERMS, [field], size=3),
-        lambda: s.agg_multi_terms(TERMS, [field]),
-        lambda: s.facet_stats(TERMS, field, "stars"),
-    ]
-
-
-def _ts_field_calls(s):
-    H = 3_600_000_000
-    return [
-        lambda: s.agg_date_histogram(TERMS, "ts", H),
-        lambda: s.agg_moving_selected(TERMS, "ts", H, window=2, min_n=1),
-        lambda: s.search_sort_by(TERMS, "ts"),
-        # round-5 pipeline-agg consumers (partial-null ts)
-        lambda: s.agg_auto_date_histogram(TERMS, "ts", 10),
-        lambda: s.agg_stats_bucket(TERMS, "ts", H),
-        lambda: s.agg_normalize(TERMS, "ts", H),
-        lambda: s.agg_bucket_script(TERMS, TERMS, "ts", H),
-        lambda: s.agg_percentiles_bucket(TERMS, "ts", H, [50, 99]),
-        lambda: s.agg_bucket_sort(TERMS, "ts", H, size=3),
-        lambda: s.agg_moving_percentile(TERMS, "ts", H, window=2),
-        lambda: s.agg_date_range(TERMS, "ts", [1_700_003_600_000_000]),
-        lambda: s.agg_cumulative_cardinality(TERMS, "ts", "stars", H),
-    ]
-
-
-def test_every_docvalue_query_survives_partial_and_full_nulls(
-        sweep_searcher):
-    s = sweep_searcher
+def _sweep(terms):
+    """(name, method, args, kwargs): every docvalue consumer of Searcher
+    over the match set of ``terms``, per type-appropriate field."""
     calls = []
-    for f in INT_FIELDS:
-        calls += [(f, c) for c in _int_field_calls(s, f)]
-    for f in STR_FIELDS:
-        calls += [(f, c) for c in _str_field_calls(s, f)]
-    calls += [("ts", c) for c in _ts_field_calls(s)]
-    failures = []
-    for field, call in calls:
-        try:
-            out = call()
-        except Exception as e:  # noqa: BLE001 — collect, report all
-            failures.append((field, call, repr(e)))
-            continue
-        assert out is not None
-    assert not failures, "\n".join(
-        f"field={f}: {err}" for f, _, err in failures)
+    for f in ("stars", "ghost"):
+        calls += [
+            ("search_sort_by", (terms, f), {}),
+            ("agg_stats", (terms, f), {}),
+            ("agg_histogram", (terms, f, 2), {}),
+            ("agg_cardinality", (terms, f), {}),
+            ("agg_extended_stats", (terms, f), {}),
+            ("agg_composite", (terms, [f]), {"size": 3}),
+            ("function_score_linear", (terms, f), {"origin": 3, "scale": 4}),
+            ("rank_feature_saturation", (terms, f), {"pivot": 3}),
+            ("agg_cumulative_histogram", (terms, f, 2), {}),
+            ("agg_multi_terms", (terms, [f]), {}),
+            ("agg_range", (terms, f, [2, 5]), {}),
+            ("agg_percentiles", (terms, f, [50, 99]), {}),
+            ("terms_set", (terms, f), {}),
+            ("distance_feature", (terms, f), {"origin": 3, "pivot": 2}),
+            ("agg_percentile_ranks", (terms, f, [3]), {}),
+            ("facet_stats", (terms, "lang", f), {}),
+            ("facet_stats", (terms, f, "stars"), {}),
+            ("agg_weighted_avg", (terms, f, "stars"), {}),
+            ("agg_weighted_avg", (terms, "stars", f), {}),
+            ("function_score_gauss", (terms, f), {"origin": 3, "scale": 4}),
+            ("agg_date_range", (terms, f, [2, 5]), {}),
+            ("agg_cumulative_cardinality", (terms, "ts", f, H), {}),
+            ("agg_mad", (terms, f), {}),
+            ("agg_boxplot", (terms, f), {}),
+            ("matrix_stats", (terms, f, "stars"), {}),
+            ("top_metrics", (terms, f, "stars"), {}),
+            ("top_metrics", (terms, "stars", f), {}),
+            ("t_test", (terms, f, "stars"), {}),
+        ]
+    f = "lang"
+    calls += [
+        ("facet_counts", (terms, f), {}),
+        ("agg_top_hits", (terms, f), {}),
+        ("collapse_top", (terms, f), {}),
+        ("agg_composite", (terms, [f]), {"size": 3}),
+        ("agg_composite", (terms, [f, "stars"]), {"size": 3}),
+        ("agg_multi_terms", (terms, [f]), {}),
+        ("agg_multi_terms", (terms, [f, "stars"]), {}),
+        ("string_stats", (terms, f), {}),
+        ("diversified_sampler", (terms, f), {"max_per": 1}),
+        ("search_docs", (terms,), {"return_fields": ["stars", f, "ts"]}),
+    ]
+    calls += [
+        ("agg_date_histogram", (terms, "ts", H), {}),
+        ("agg_moving_selected", (terms, "ts", H), {"window": 2, "min_n": 1}),
+        ("search_sort_by", (terms, "ts"), {}),
+        ("agg_auto_date_histogram", (terms, "ts", 10), {}),
+        ("agg_stats_bucket", (terms, "ts", H), {}),
+        ("agg_normalize", (terms, "ts", H), {}),
+        ("agg_bucket_script", (terms, terms, "ts", H), {}),
+        ("agg_percentiles_bucket", (terms, "ts", H, [50, 99]), {}),
+        ("agg_bucket_sort", (terms, "ts", H), {"size": 3}),
+        ("agg_moving_percentile", (terms, "ts", H), {"window": 2}),
+        ("agg_date_range", (terms, "ts", [1_700_003_600_000_000]), {}),
+        ("agg_cumulative_cardinality", (terms, "ts", "stars", H), {}),
+        ("agg_derivative", (terms, "ts", H), {}),
+        ("agg_max_bucket", (terms, "ts", H), {}),
+        ("agg_rate", (terms, "ts", H, 60_000_000), {}),
+    ]
+    return calls
+
+
+def _call_name(method, args, kwargs) -> str:
+    shown = [repr(a) for a in args[1:]] + [f"{k}={v!r}"
+                                           for k, v in kwargs.items()]
+    where = "" if args[0] is TERMS else " [no match]"
+    return f"{method}({', '.join(shown)}){where}"
+
+
+def _plain(out: pa.Table) -> dict:
+    """Rows (timestamps as int64 microseconds) and column types."""
+    cols = [c.cast(pa.int64()) if pa.types.is_timestamp(c.type) else c
+            for c in out.columns]
+    return {"types": [f"{n}:{t}" for n, t in zip(out.column_names,
+                                                  out.schema.types)],
+            "rows": [list(r) for r in zip(*(c.to_pylist() for c in cols))]}
+
+
+def _run_sweep(s) -> dict:
+    return {_call_name(m, a, kw): _plain(getattr(s, m)(*a, **kw))
+            for m, a, kw in _sweep(TERMS) + _sweep(NO_MATCH)}
+
+
+def test_every_docvalue_query_matches_its_pinned_rows_and_types(
+        sweep_searcher):
+    with open(PINS_PATH) as f:
+        pins = json.load(f)
+    got = _run_sweep(sweep_searcher)
+    assert sorted(got) == sorted(pins)
+    diffs = [f"{name}:\n  got  {got[name]}\n  want {pins[name]}"
+             for name in pins if got[name] != pins[name]]
+    assert not diffs, "\n".join(diffs)
 
 
 def test_all_null_field_aggregates_as_empty(sweep_searcher):
@@ -161,13 +183,13 @@ def test_all_null_field_aggregates_as_empty(sweep_searcher):
 
 
 def test_agg_range_excludes_missing_values(sweep_searcher):
-    # stars = {5, 7, 1, null×3}; a raw NaN→int64 cast would send the 3
-    # nulls to INT64_MIN and count them in the open low bucket
+    # stars = {5, 7, 1, null×3}; counting the nulls as INT64_MIN would put
+    # all 3 in the open low bucket
     out = sweep_searcher.agg_range(TERMS, "stars", [2, 5])
     assert out["n"].to_pylist() == [1, 0, 2]
 
 
-def test_facet_stats_skips_nan_and_null_keys_and_values(sweep_searcher):
+def test_facet_stats_skips_null_keys_and_values(sweep_searcher):
     s = sweep_searcher
     # group=lang ('en':n0,n3  'de':n2  'fr':n5  null:n1,n4): null bucket
     # dropped; n counts docs WITH the stat field (n3 misses stars)
@@ -180,8 +202,8 @@ def test_facet_stats_skips_nan_and_null_keys_and_values(sweep_searcher):
     assert rows["fr"]["min"] is None and rows["fr"]["avg_micro"] is None
     # int group keys come back typed int64, null keys dropped
     out2 = s.facet_stats(TERMS, "stars", "stars")
-    assert out2[ "stars"].type == pa.int64()
-    assert out2.num_rows == 3  # values 1, 5, 7 — no NaN bucket
+    assert out2["stars"].type == pa.int64()
+    assert out2.num_rows == 3  # values 1, 5, 7 — no null bucket
 
 
 def test_multi_terms_drops_missing_key_docs(sweep_searcher):
@@ -195,7 +217,6 @@ def test_serve_returns_json_null_for_missing_docvalue(sweep_searcher):
     # json.dumps(float('nan')) emits bare NaN — invalid JSON a strict
     # client rejects; a hit decorated with a missing int field must come
     # back as JSON null instead
-    import json
     from search_ingest_ray.serve import ServeSession
     sess = ServeSession(sweep_searcher.index_root)
     resp = sess.handle({"op": "query", "id": 1, "query": "alpha beta",

@@ -9,7 +9,10 @@ Usage: python tools/check_entry.py [sf_dir] [only_query1,only_query2,...]
                                    [--json=artifact.json]
 
 With --json, per-query status + wall time land in a committable artifact
-(the round-N full-surface correctness record).
+(the round-N full-surface correctness record).  Each query's record also
+carries ``md5`` (of its canonical rows, see :func:`digest`) and ``types``
+(its result's Arrow column types), rows-only queries included, so two
+commits' row identity is a diff of their artifacts.
 """
 
 import json
@@ -31,11 +34,28 @@ def to_arrow(res):
 
 
 def canon(tbl):
-    import pandas as pd
-    df = tbl.to_pandas()
+    return _sorted_rows(tbl.to_pandas())
+
+
+def _sorted_rows(df):
     df = df[sorted(df.columns)]
     df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
     return df
+
+
+def digest(tbl) -> dict:
+    """md5 of the canonical rows (:func:`canon`, written as CSV) and the
+    ``name:type`` of every result column, in result order.  Rows with
+    unorderable cells (lists, structs) are compared as the text of their
+    cells' Python values."""
+    import hashlib
+    try:
+        rows = canon(tbl)
+    except (TypeError, ValueError):
+        rows = _sorted_rows(tbl.to_pandas().map(
+            lambda v: repr(v.tolist() if hasattr(v, "tolist") else v)))
+    return {"md5": hashlib.md5(rows.to_csv(index=False).encode()).hexdigest(),
+            "types": [f"{f.name}:{f.type}" for f in tbl.schema]}
 
 
 def main():
@@ -84,7 +104,8 @@ def main():
         if name not in oracles:
             record[name] = {"status": "rows_only", "rows": res.num_rows,
                             "cols": res.column_names, "executions": execs,
-                            "sec": round(time.monotonic() - t0, 2)}
+                            "sec": round(time.monotonic() - t0, 2),
+                            **digest(res)}
             print(f"[rows-only] {name}: {res.num_rows} rows, "
                   f"cols={res.column_names}, {execs} exec")
             continue
@@ -115,7 +136,8 @@ def main():
             print(a.compare(b).head(5) if hasattr(a, 'compare') else '')
             continue
         record[name] = {"status": "ok", "rows": len(a), "executions": execs,
-                        "sec": round(time.monotonic() - t0, 2)}
+                        "sec": round(time.monotonic() - t0, 2),
+                        **digest(res)}
         print(f"[OK] {name}: {len(a)} rows, {execs} exec")
 
     # entry smoke
