@@ -545,9 +545,8 @@ def q_geo_shape(sf_dir: str):
 
 def q_exists(sf_dir: str):
     """ES `exists` query (constant_score filter context): docs with a
-    non-null value for the nullable alt_m docvalue (null when id%5==0 —
-    stored as float64+NaN per the FieldStore nulled-int convention, which
-    the exists spec must see through)."""
+    non-null value for the nullable int64 alt_m docvalue (null when
+    id%5==0)."""
     from search_ingest_ray.pipelines.flagship import documents_geo_index
     from search_ingest_ray.query.searcher import Searcher
     s = Searcher(documents_geo_index(sf_dir))

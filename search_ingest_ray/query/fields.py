@@ -20,6 +20,12 @@ candidate, vectorized over the shard's candidate slice.  Filters are
 evaluated ONLY on candidate docids produced by the term index — never as a
 full scan.  Legacy unsharded sidecars (no ``meta.json`` / no ``fshard=``
 path component) degrade to a single always-loaded shard.
+
+Retrieval (:meth:`FieldStore.get`) returns every column in its stored
+Arrow type, with real nulls for missing values and absent docids.  The
+filters (:meth:`FieldStore.mask` / :meth:`FieldStore.scan`) run on numpy
+views of the shard columns instead, where a nulled int column is float64
+with NaN for null; that encoding never leaves this module.
 """
 
 from __future__ import annotations
@@ -36,15 +42,48 @@ import pyarrow.parquet as pq
 _FSHARD_RE = re.compile(r"fshard=(\d+)")
 
 
-class _Shard:
-    __slots__ = ("docids", "columns")
+class _NumpyColumns(dict):
+    """numpy views of a shard's columns for the filters, each made on
+    first use: None for a missing string, NaN for a missing int or float
+    (a nulled int column becomes float64), NaT for a missing
+    timestamp."""
 
-    def __init__(self, docids: np.ndarray, columns: dict):
+    def __init__(self, arrays: dict[str, pa.Array]):
+        super().__init__()
+        self._arrays = arrays
+
+    def __missing__(self, name: str) -> np.ndarray:
+        got = self[name] = self._arrays[name].to_numpy(zero_copy_only=False)
+        return got
+
+
+class _Shard:
+    __slots__ = ("docids", "arrays", "columns")
+
+    def __init__(self, docids: np.ndarray, arrays: dict[str, pa.Array]):
         self.docids = docids
-        self.columns = columns
+        self.arrays = arrays     # docid-sorted, stored types, real nulls
+        self.columns = _NumpyColumns(arrays)
 
 
 _EMPTY_SHARD = _Shard(np.empty(0, dtype=np.int64), {})
+
+
+def scatter(n: int, parts: list[tuple[np.ndarray, dict[str, pa.Array]]],
+            types: dict[str, pa.DataType]) -> dict[str, pa.Array]:
+    """Length-``n`` columns of the given ``types``: each part
+    ``(positions, {column: values})`` lands at its positions, and every
+    other position is null.  One ``take`` per column."""
+    at = np.full(n, -1, dtype=np.int64)
+    start = 0
+    for pos, _ in parts:
+        at[pos] = np.arange(start, start + pos.size)
+        start += pos.size
+    idx = pa.array(at, pa.int64(), mask=at < 0)
+    return {c: pa.concat_arrays([pa.array([], t)]
+                                + [got[c].cast(t) for _, got in parts]
+                                ).take(idx)
+            for c, t in types.items()}
 
 
 class FieldStore:
@@ -86,10 +125,26 @@ class FieldStore:
             self._field_names = sorted(n for n in names
                                        if n not in ("docid", "fshard"))
         self._has_files = bool(files)
+        self._types: dict[str, pa.DataType] | None = None
 
     @property
     def field_names(self) -> list[str]:
         return self._field_names
+
+    @property
+    def field_types(self) -> dict[str, pa.DataType]:
+        """Stored Arrow type per field, unified over every sidecar
+        footer on first use (a chunk whose column is all null may have
+        written it as ``null``, and chunks of differing input files may
+        differ in width, e.g. int32 and int64)."""
+        if self._types is None:
+            schema = pa.unify_schemas(
+                [pq.read_schema(f) for fs in self._shard_files.values()
+                 for f in fs] or [pa.schema([])],
+                promote_options="permissive")
+            self._types = {n: schema.field(n).type for n in schema.names
+                           if n not in ("docid", "fshard")}
+        return self._types
 
     # -- shard management ----------------------------------------------------
 
@@ -105,7 +160,7 @@ class FieldStore:
         if not flist:
             return _EMPTY_SHARD
         tbl = pa.concat_tables([pq.read_table(f) for f in flist],
-                               promote_options="default").combine_chunks()
+                               promote_options="permissive").combine_chunks()
         d = tbl["docid"].to_numpy()
         order = np.argsort(d, kind="stable")
         # duplicate source ids (same url twice) are degenerate input: keep
@@ -116,14 +171,11 @@ class FieldStore:
         ds = d[order]
         keep = np.concatenate([ds[1:] != ds[:-1], [True]]) if ds.size else \
             np.empty(0, dtype=bool)
-        sel = order[keep] if ds.size else order
-        columns = {}
-        for name in tbl.column_names:
-            if name in ("docid", "fshard"):
-                continue
-            col = tbl[name].combine_chunks().take(pa.array(sel, pa.int64()))
-            columns[name] = col.to_numpy(zero_copy_only=False)
-        shard = _Shard(ds[keep] if ds.size else ds, columns)
+        sel = pa.array(order[keep] if ds.size else order, pa.int64())
+        shard = _Shard(ds[keep] if ds.size else ds,
+                       {name: tbl[name].combine_chunks().take(sel)
+                        for name in tbl.column_names
+                        if name not in ("docid", "fshard")})
         self._loaded[sh] = shard
         self.shard_loads.append(sh)
         if self.max_loaded is not None:
@@ -172,7 +224,7 @@ class FieldStore:
         if isinstance(spec, tuple) and len(spec) == 1 and spec[0] == "exists":
             # ES `exists` query: the doc has a non-null value for the
             # field.  Missing is None in object columns and NaN in float64
-            # columns (a nulled int column is stored as float64).
+            # columns (see _NumpyColumns).
             if vals.dtype == object:
                 return np.fromiter((v is not None for v in vals.tolist()),
                                    dtype=bool, count=len(vals))
@@ -370,29 +422,24 @@ class FieldStore:
                 else np.empty(0, dtype=np.int64))
 
     def get(self, docids: np.ndarray, cols: list[str]) -> dict[str, pa.Array]:
-        """Field values for docids (docstore retrieval) as Arrow arrays;
-        docids absent from the store yield NULL (never a neighbor's
-        values).  Loads only the touched shards."""
+        """Field values for docids (docstore retrieval), one Arrow array
+        per column in its stored type (:attr:`field_types`).  Missing
+        values and docids absent from the store are null (never a
+        neighbor's values); empty input gives empty arrays of the same
+        types.  A column the store does not hold is all null.  Loads
+        only the touched shards."""
         docids = np.asarray(docids, dtype=np.int64)
-        n = len(docids)
-        vals: dict[str, list] = {c: [None] * n for c in cols}
-        if self._has_files and n:
-            shards = self._shard_of(docids)
-            for sh in np.unique(shards):
-                sel = np.flatnonzero(shards == sh)
-                store = self._get_shard(int(sh))
-                if not len(store.docids):
-                    continue
-                idx, found = self._locate_in(store, docids[sel])
-                for c in cols:
-                    colv = store.columns[c][idx]
-                    for j, pos in enumerate(sel):
-                        if found[j]:
-                            vals[c][pos] = colv[j]
-        out = {}
-        for c in cols:
-            pylist = [None if v is None
-                      else (v.item() if isinstance(v, np.generic) else v)
-                      for v in vals[c]]
-            out[c] = pa.array(pylist)
-        return out
+        types = {c: self.field_types.get(c, pa.null()) for c in cols}
+        parts = []
+        shards = self._shard_of(docids)
+        for sh in np.unique(shards) if self._has_files else ():
+            sel = np.flatnonzero(shards == sh)
+            store = self._get_shard(int(sh))
+            idx, found = self._locate_in(store, docids[sel])
+            if not found.any():
+                continue
+            rows = pa.array(idx[found])
+            parts.append((sel[found], {
+                c: (store.arrays[c].take(rows) if c in store.arrays
+                    else pa.nulls(len(rows), types[c])) for c in cols}))
+        return scatter(len(docids), parts, types)

@@ -44,10 +44,12 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
 
 from ..pipelines.epochs import epoch_chain, epoch_dir
 from ..util import read_json
 from .bm25 import BM25Params, idf, term_scores
+from .fields import scatter
 from .searcher import (Searcher, _isin_sorted_i64 as _isin_sorted,
                        _merge_acc, maxscore_topk)
 
@@ -113,7 +115,6 @@ class MultiEpochSearcher:
             if not os.path.exists(os.path.join(pd_, "_DONE")):
                 raise ValueError(f"delta epoch {e} of {index_root} has no "
                                  "committed df_patch/")
-            import pyarrow as pa
             import pyarrow.parquet as pq
             tables = [pq.read_table(os.path.join(pd_, f))
                       for f in sorted(os.listdir(pd_))
@@ -355,18 +356,21 @@ class MultiEpochSearcher:
         return out
 
     def get_fields(self, docids: np.ndarray, cols: list[str]) -> dict:
-        """Docstore retrieval across the chain (live epoch wins);
+        """Docstore retrieval across the chain (live epoch wins): each
+        live epoch's typed arrays are scattered into place, so the types
+        are those of single-epoch ``Searcher.get_fields``;
         suppressed/deleted or unknown docids yield null."""
-        import pyarrow as pa
         docids = np.asarray(docids, dtype=np.int64)
-        vals: dict[str, list] = {c: [None] * docids.size for c in cols}
         src = self._resolve_live(docids)
+        parts = []
         for i in np.unique(src[src >= 0]):
             sel = np.flatnonzero(src == i)
-            fs = self.entries[int(i)][1].fields
-            got = fs.get(docids[sel], cols)  # vectorized, null-masked
-            for c in cols:
-                pyvals = got[c].to_pylist()
-                for j, v in zip(sel, pyvals):
-                    vals[c][j] = v
-        return {c: pa.array(v) for c, v in vals.items()}
+            parts.append((sel, self.entries[int(i)][1].fields.get(
+                docids[sel], cols)))
+        # types from the newest epoch that stores fields, so a selection
+        # with no live doc is typed too
+        types = next((s.fields.field_types
+                      for _, s, _ in reversed(self.entries)
+                      if s is not None and not s.fields.is_empty), {})
+        return scatter(docids.size, parts,
+                       {c: types.get(c, pa.null()) for c in cols})

@@ -210,75 +210,32 @@ def _cumcount(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int_docvals(vals) -> np.ndarray:
-    """Match-set docvalues → exact int64 with missing entries dropped —
-    the one ingestion path for the integer aggregations.  "Missing" shows
-    up two ways: Arrow nulls (docids absent from the docstore) and NaN
-    inside a float64 array (a FieldStore shard holds a nulled int column
-    as float64, invisible to ``null_count``).  Individual values stay
-    exact in float64 (< 2^53) but float64 SUMS round above 2^53, so cast
-    back to int64 before any accumulation."""
-    arr = vals.to_numpy(zero_copy_only=False)
-    if vals.null_count:
-        arr = arr[~vals.is_null().to_numpy(zero_copy_only=False)]
-    if arr.dtype != np.int64:
-        arr = arr[~np.isnan(arr)]
-        arr = arr.astype(np.int64)
-    return arr
+def _ints(col) -> np.ndarray:
+    """The present values of an integer or timestamp docvalue column as
+    exact int64 (timestamps in microseconds), missing values dropped —
+    ES skips docs without the field."""
+    if pa.types.is_timestamp(col.type) or pa.types.is_date(col.type):
+        col = col.cast(pa.timestamp("us"))
+    return col.drop_null().cast(pa.int64()).to_numpy()
 
 
-def _int_docvals_aligned(vals) -> tuple[np.ndarray, np.ndarray]:
-    """Match-set docvalues → (int64 values, valid mask), POSITIONALLY
-    ALIGNED with the input — for queries that must keep per-doc
-    correspondence with a parallel docid array (terms_set,
-    distance_feature) rather than aggregate.  Missing entries (Arrow
-    nulls, and NaN in a float64-ified nulled int column — see
-    :func:`_int_docvals`) get value 0 and valid=False; callers exclude
-    them, matching SQL NULL-comparison semantics (and ES, which skips
-    docs missing the field)."""
-    arr = vals.to_numpy(zero_copy_only=False)
-    valid = ~vals.is_null().to_numpy(zero_copy_only=False) \
-        if vals.null_count else np.ones(len(vals), dtype=bool)
-    if arr.dtype != np.int64:
-        valid &= ~np.isnan(arr)
-        arr = np.where(valid, arr, 0).astype(np.int64)
-    return arr, valid
+def _micro_moments(n: int, s: int, ss: int = 0):
+    """(avg_micro, var_micro) of n exact integer values with sum ``s`` and
+    sum of squares ``ss``: ``(s·10⁶) // n`` and the population variance
+    ``((n·ss − s²)·10⁶) // n²``, in Python bigints so the DuckDB HUGEINT
+    oracles are bit-identical (a float mean or variance would be
+    summation-order-sensitive).  (None, None) for n = 0."""
+    if not n:
+        return None, None
+    return (s * 1_000_000) // n, ((n * ss - s * s) * 1_000_000) // (n * n)
 
 
-def _renull_int(vals: pa.Array) -> pa.Array:
-    """Restore proper Arrow nulls on an int docvalue column: a FieldStore
-    shard holds a nulled int64 column as float64+NaN (invisible to
-    ``null_count``), which poisons Arrow group aggregates — min/inf, NaN
-    sums, NaN group keys.  Non-float columns pass through unchanged;
-    float columns are the nulled-int encoding by FieldStore's contract
-    (genuine float docvalues don't exist in the stored-field schema)."""
-    if not pa.types.is_floating(vals.type):
-        return vals
-    arr = vals.to_numpy(zero_copy_only=False)
-    miss = np.isnan(arr)
-    if vals.null_count:
-        miss |= vals.is_null().to_numpy(zero_copy_only=False)
-    return pa.array(np.where(miss, 0, arr).astype(np.int64), mask=miss)
-
-
-def _drop_null_key_rows(tbl: pa.Table, sources: list[str]) -> pa.Table:
-    """Drop rows where ANY bucket-key source is missing — ES terms /
-    multi_terms / composite (missing_bucket=false) all skip docs missing
-    a source field.  Missing shows up as Arrow nulls AND as NaN in a
-    float64-ified nulled int column (see :func:`_renull_int`), so the
-    columns are re-nulled first; the returned table carries the re-nulled
-    (int64) columns so group keys come out typed, not float."""
-    cols, keep = {}, np.ones(tbl.num_rows, dtype=bool)
-    for f in sources:
-        col = _renull_int(tbl[f].combine_chunks()
-                          if isinstance(tbl[f], pa.ChunkedArray) else tbl[f])
-        cols[f] = col
-        if col.null_count:
-            keep &= col.is_valid().to_numpy(zero_copy_only=False)
-    out = pa.table(cols)
-    if keep.all():
-        return out
-    return out.take(pa.array(np.flatnonzero(keep)))
+def _nearest_rank(srt: np.ndarray, p) -> int | None:
+    """Exact nearest-rank percentile ``p`` of ascending values: the value
+    at 1-based rank ``ceil(p/100 · n)`` (None when there are none)."""
+    if srt.size == 0:
+        return None
+    return int(srt[max(int(np.ceil(p / 100 * srt.size)), 1) - 1])
 
 
 def term_row_range(tcol, term: str) -> tuple[int, int]:
@@ -599,10 +556,7 @@ class Searcher:
             "rank": pa.array(np.arange(1, len(d) + 1, dtype=np.int32)),
             "score": pa.array(sc, pa.float64()),
         }
-        for name, vals in self.fields.get(d, return_fields or []).items():
-            # re-null: missing int docvalues arrive float64+NaN from the
-            # shard; downstream JSON encoders need real Arrow nulls
-            cols[name] = _renull_int(vals)
+        cols.update(self.fields.get(d, return_fields or []))
         return pa.table(cols)
 
     def search_similarity(self, terms: list[str], k: int = 10,
@@ -789,16 +743,10 @@ class Searcher:
         of the OR query ordered by (field, doc_id) — scoring skipped
         entirely, the docvalues sidecar supplies the sort key (exactly
         ES's doc_values-backed sort).  Returns (doc_id, <field>) top-k."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             field: pa.array([], pa.int64())})
-        # re-null so missing values are Arrow nulls (not float NaN) and
-        # sort with nulls LAST regardless of direction — ES's default
+        tbl = self._match_frame(terms, [field]).rename_columns(
+            ["doc_id", field])
+        # missing values sort LAST regardless of direction — ES's default
         # ``missing: _last`` docvalue-sort semantics
-        vals = _renull_int(self.fields.get(docids, [field])[field])
-        tbl = pa.table({"doc_id": pa.array(docids, pa.int64()),
-                        field: vals})
         order = "descending" if descending else "ascending"
         idx = pc.sort_indices(
             tbl, sort_keys=[(field, order), ("doc_id", "ascending")],
@@ -965,6 +913,15 @@ class Searcher:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(ds))
 
+    def _match_frame(self, terms: list[str], cols: list[str]) -> pa.Table:
+        """The match set of the OR query as one table: ``docid`` (sorted
+        unique) plus each of ``cols`` in its stored type, null where the
+        doc has no value — the start of every docvalue aggregation.  An
+        empty match set gives no rows and the same types."""
+        docids = self._match_docids(terms)
+        return pa.table({"docid": pa.array(docids, pa.int64()),
+                         **self.fields.get(docids, cols)})
+
     def term_vectors(self, doc_id: int) -> pa.Table:
         """ES ``_termvectors``: one document's term vector — (term, tf,
         global df) per distinct term, term-sorted.  The text comes from
@@ -1047,13 +1004,7 @@ class Searcher:
         stored-field value via the docvalues sidecar.  Returns
         (value, n) sorted by value; scoring is skipped entirely (aggs run
         in filter context)."""
-        import pyarrow.compute as pc
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({field: pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        vals = self.fields.get(docids, [field])[field]
-        vc = pc.value_counts(vals)
+        vc = pc.value_counts(self._match_frame(terms, [field])[field])
         out = pa.table({field: vc.field("values"),
                         "n": vc.field("counts")})
         return out.sort_by([(field, "ascending")])
@@ -1065,10 +1016,7 @@ class Searcher:
         integer arithmetic, so the DuckDB oracle is bit-identical (a float
         average would be summation-order-sensitive).  Nulls are dropped
         (ES skips docs without the field)."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        arr = _int_docvals(vals)
+        arr = _ints(self._match_frame(terms, [field])[field])
         n = int(arr.size)
         s = int(arr.sum()) if n else 0
         return pa.table({
@@ -1076,8 +1024,7 @@ class Searcher:
             "min": pa.array([int(arr.min()) if n else None], pa.int64()),
             "max": pa.array([int(arr.max()) if n else None], pa.int64()),
             "sum": pa.array([s], pa.int64()),
-            "avg_micro": pa.array([(s * 1_000_000) // n if n else None],
-                                  pa.int64()),
+            "avg_micro": pa.array([_micro_moments(n, s)[0]], pa.int64()),
         })
 
     def agg_histogram(self, terms: list[str], field: str,
@@ -1086,12 +1033,7 @@ class Searcher:
         floor(value / interval) · interval over the match set's docvalues;
         returns (bucket, n) sorted by bucket, empty buckets omitted
         (ES ``min_doc_count: 1``)."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        vals = self.fields.get(docids, [field])[field]
-        arr = _int_docvals(vals)
+        arr = _ints(self._match_frame(terms, [field])[field])
         buckets = (arr // interval) * interval
         uniq, counts = np.unique(buckets, return_counts=True)
         return pa.table({"bucket": pa.array(uniq, pa.int64()),
@@ -1103,33 +1045,14 @@ class Searcher:
         {stat}}}``): per group-field bucket over the match set, the stat
         field's n/min/max/sum/avg_micro — one docvalues fetch, one
         vectorized group pass.  Returns rows sorted by bucket value."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({group_field: pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "min": pa.array([], pa.int64()),
-                             "max": pa.array([], pa.int64()),
-                             "sum": pa.array([], pa.int64()),
-                             "avg_micro": pa.array([], pa.int64())})
-        cols = self.fields.get(docids, [group_field, stat_field])
-        # re-null both columns (nulled ints arrive float64+NaN from the
-        # shard — see _renull_int) and drop docs missing the GROUP key
-        # (ES terms buckets skip them); docs missing only the STAT field
-        # stay in their bucket but contribute nothing to its stats, which
-        # Arrow's null-skipping aggregates give for free
-        gcol = _renull_int(cols[group_field])
-        vcol = _renull_int(cols[stat_field])
-        t = pa.table({group_field: gcol, "_v": vcol})
-        if gcol.null_count:
-            t = t.filter(gcol.is_valid())
-        if t.num_rows == 0:
-            return pa.table({group_field: gcol.slice(0, 0),
-                             "n": pa.array([], pa.int64()),
-                             "min": pa.array([], pa.int64()),
-                             "max": pa.array([], pa.int64()),
-                             "sum": pa.array([], pa.int64()),
-                             "avg_micro": pa.array([], pa.int64())})
-        g = (t.group_by(group_field)
+        frame = self._match_frame(terms, [group_field, stat_field])
+        # drop docs missing the GROUP key (ES terms buckets skip them);
+        # docs missing only the STAT field stay in their bucket but
+        # contribute nothing to its stats, which Arrow's null-skipping
+        # aggregates give for free
+        t = pa.table({group_field: frame[group_field],
+                      "_v": frame[stat_field]})
+        g = (t.filter(pc.is_valid(t[group_field])).group_by(group_field)
              .aggregate([("_v", "count"), ("_v", "min"), ("_v", "max"),
                          ("_v", "sum")]))
         n = g["_v_count"].to_numpy().astype(np.int64)
@@ -1141,7 +1064,7 @@ class Searcher:
             "max": g["_v_max"].cast(pa.int64()),
             "sum": pa.array(s, pa.int64()),
             "avg_micro": pa.array(
-                [int(sv) * 1_000_000 // int(nv) if nv else None
+                [_micro_moments(int(nv), int(sv))[0]
                  for sv, nv in zip(s, n)], pa.int64()),
         })
         return out.sort_by([(group_field, "ascending")])
@@ -1153,12 +1076,9 @@ class Searcher:
         the candidate docvalues is cheaper than sketch maintenance, and
         a distributed pipeline wanting approximate global cardinality
         should pre-aggregate per partition and merge)."""
-        docids = self._match_docids(terms)
-        nd = 0
-        if docids.size:
-            vals = _renull_int(self.fields.get(docids, [field])[field])
-            nd = len(vals.unique().drop_null())
-        return pa.table({"cardinality": pa.array([nd], pa.int64())})
+        vals = self._match_frame(terms, [field])[field].drop_null()
+        return pa.table({"cardinality": pa.array([len(vals.unique())],
+                                                 pa.int64())})
 
     def agg_extended_stats(self, terms: list[str], field: str) -> pa.Table:
         """ES ``extended_stats`` aggregation in filter context over an
@@ -1172,24 +1092,19 @@ class Searcher:
         so the DuckDB HUGEINT oracle is bit-identical; a float variance
         would be summation-order-sensitive).  Nulls dropped (ES skips docs
         without the field)."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        arr = _int_docvals(vals)
+        arr = _ints(self._match_frame(terms, [field])[field])
         n = int(arr.size)
         s = int(arr.sum()) if n else 0
         ss = int((arr * arr).sum()) if n else 0
+        avg, var = _micro_moments(n, s, ss)
         return pa.table({
             "n": pa.array([n], pa.int64()),
             "min": pa.array([int(arr.min()) if n else None], pa.int64()),
             "max": pa.array([int(arr.max()) if n else None], pa.int64()),
             "sum": pa.array([s], pa.int64()),
             "sum_sq": pa.array([ss], pa.int64()),
-            "avg_micro": pa.array([(s * 1_000_000) // n if n else None],
-                                  pa.int64()),
-            "var_micro": pa.array(
-                [((n * ss - s * s) * 1_000_000) // (n * n) if n else None],
-                pa.int64()),
+            "avg_micro": pa.array([avg], pa.int64()),
+            "var_micro": pa.array([var], pa.int64()),
         })
 
     def agg_composite(self, terms: list[str], sources: list[str],
@@ -1203,21 +1118,10 @@ class Searcher:
         so page depth never re-aggregates (exactly why ES recommends
         composite over terms+partitions for full enumeration).  Returns
         (source..., n) — ``size`` buckets starting after the cursor."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            cols = {f: pa.array([], pa.string()) for f in sources}
-            cols["n"] = pa.array([], pa.int64())
-            return pa.table(cols)
-        got = self.fields.get(docids, sources)
         # ES composite with missing_bucket=false (the default) drops docs
         # missing ANY source — and a null key would break the typed
-        # cursor compare below, so filter before grouping (shared with
-        # multi_terms via _drop_null_key_rows, which also restores int64
-        # keys from the float64-ified nulled-int shard encoding).
-        tbl = _drop_null_key_rows(
-            pa.table({f: got[f] for f in sources}), sources)
-        g = tbl.group_by(sources).aggregate([([], "count_all")])
-        g = g.rename_columns(sources + ["n"])
+        # cursor compare below, so filter before grouping
+        g = self._key_counts(terms, sources)
         g = g.take(pc.sort_indices(
             g, sort_keys=[(f, "ascending") for f in sources]))
         if after is not None:
@@ -1230,6 +1134,13 @@ class Searcher:
                 eq &= col == av
             g = g.take(pa.array(np.flatnonzero(gt)))
         return g.slice(0, size)
+
+    def _key_counts(self, terms: list[str], sources: list[str]) -> pa.Table:
+        """(source..., n): doc count per distinct key tuple over the match
+        set's docs that have a value for every source."""
+        keys = self._match_frame(terms, sources).select(sources).drop_null()
+        return (keys.group_by(sources).aggregate([([], "count_all")])
+                .rename_columns(sources + ["n"]))
 
     def function_score_linear(self, terms: list[str], field: str,
                               origin: int, scale: int,
@@ -1244,18 +1155,8 @@ class Searcher:
         far field).  Returns (doc_id, score_micro) by (-score, doc_id)."""
         uniq = list(dict.fromkeys(terms))
         d0, m0 = self._union_micro(self._lookup(uniq), uniq)
-        if d0.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "score_micro": pa.array([], pa.int64())})
-        vals = self.fields.get(d0, [field])[field]
-        arr = vals.to_numpy(zero_copy_only=False)
-        null = vals.is_null().to_numpy(zero_copy_only=False) \
-            if vals.null_count else np.zeros(d0.size, dtype=bool)
-        if arr.dtype != np.int64:  # nulled int column arrives as float64+NaN
-            null |= np.isnan(arr)
-            arr = np.where(null, 0, arr)
-        v = np.where(null, origin + scale,
-                     arr.astype(np.int64, copy=False))
+        v = self.fields.get(d0, [field])[field].cast(pa.int64()).fill_null(
+            origin + scale).to_numpy()
         decay_num = np.maximum(0, scale - np.abs(v - origin))
         adj = (m0 * decay_num) // scale
         top = np.lexsort((d0, -adj))[:k]
@@ -1296,18 +1197,8 @@ class Searcher:
         (doc_id, score_micro) by (-score, doc_id)."""
         uniq = list(dict.fromkeys(terms))
         d0, m0 = self._union_micro(self._lookup(uniq), uniq)
-        if d0.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "score_micro": pa.array([], pa.int64())})
-        vals = self.fields.get(d0, [field])[field]
-        arr = vals.to_numpy(zero_copy_only=False)
-        null = vals.is_null().to_numpy(zero_copy_only=False) \
-            if vals.null_count else np.zeros(d0.size, dtype=bool)
-        if arr.dtype != np.int64:
-            null |= np.isnan(arr)
-            arr = np.where(null, 0, arr)
-        v = np.where(null, origin + 4 * scale,
-                     arr.astype(np.int64, copy=False)).astype(np.float64)
+        v = self.fields.get(d0, [field])[field].cast(pa.int64()).fill_null(
+            origin + 4 * scale).to_numpy().astype(np.float64)
         sigma2 = (float(scale) * float(scale)) / (2.0 * np.log(2.0))
         dv = v - float(origin)
         decay = np.exp(-(dv * dv) / (2.0 * sigma2))
@@ -1325,9 +1216,6 @@ class Searcher:
         as a ratio, e.g. (3, 10) = 0.3).  Returns (doc_id, score_micro)
         by (-score, doc_id) top-k."""
         d0, s0, x0 = self._union_micro_parts(terms)
-        if d0.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "score_micro": pa.array([], pa.int64())})
         num, den = tie_breaker
         adj = x0 + (num * (s0 - x0)) // den
         top = np.lexsort((d0, -adj))[:k]
@@ -1344,9 +1232,6 @@ class Searcher:
         Returns (doc_id, score_micro) by (-score, doc_id) top-k."""
         uniq = list(dict.fromkeys(positive))
         d0, m0 = self._union_micro(self._lookup(uniq), uniq)
-        if d0.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "score_micro": pa.array([], pa.int64())})
         neg = self._match_docids(negative)
         demote = _isin_sorted_i64(d0, neg)
         num, den = negative_boost
@@ -1364,18 +1249,10 @@ class Searcher:
         Returns (doc_id, score_micro) by (-score, doc_id) top-k."""
         uniq = list(dict.fromkeys(terms))
         d0, m0 = self._union_micro(self._lookup(uniq), uniq)
-        if d0.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "score_micro": pa.array([], pa.int64())})
-        vals = self.fields.get(d0, [field])[field]
-        arr = vals.to_numpy(zero_copy_only=False)
-        miss = vals.is_null().to_numpy(zero_copy_only=False) \
-            if vals.null_count else np.zeros(d0.size, dtype=bool)
-        if arr.dtype != np.int64:  # nulled int column arrives float64+NaN
-            miss |= np.isnan(arr)
-            arr = np.where(miss, 0, arr).astype(np.int64)
-        v = np.maximum(arr, 0)  # rank_feature requires positive features
-        adj = m0 + np.where(miss, 0, (1_000_000 * v) // (v + pivot))
+        # rank_feature requires positive features; a missing one is 0
+        v = np.maximum(self.fields.get(d0, [field])[field].cast(pa.int64())
+                       .fill_null(0).to_numpy(), 0)
+        adj = m0 + (1_000_000 * v) // (v + pivot)
         top = np.lexsort((d0, -adj))[:k]
         return pa.table({"doc_id": pa.array(d0[top], pa.int64()),
                          "score_micro": pa.array(adj[top], pa.int64())})
@@ -1458,11 +1335,8 @@ class Searcher:
         d = np.unique(np.asarray(list(ids), dtype=np.int64))
         present = self.fields.contains(d)
         d = d[present]
-        got = self.fields.get(d, cols) if d.size else \
-            {c: pa.array([], pa.string()) for c in cols}
-        out = {"doc_id": pa.array(d, pa.int64())}
-        out.update({c: got[c] for c in cols})
-        return pa.table(out)
+        return pa.table({"doc_id": pa.array(d, pa.int64()),
+                         **self.fields.get(d, cols)})
 
     def match_phrase_prefix(self, terms: list[str], prefix: str,
                             max_expansions: int | None = None) -> np.ndarray:
@@ -1494,13 +1368,10 @@ class Searcher:
         docids (shards load once through the store's LRU).  Returns
         (bucket, n) in the given bucket order."""
         docids = self._match_docids(terms)
-        names, ns = [], []
-        for name, filt in named:
-            names.append(name)
-            ns.append(int(self.fields.mask(docids, filt).sum())
-                      if docids.size else 0)
-        return pa.table({"bucket": pa.array(names, pa.string()),
-                         "n": pa.array(ns, pa.int64())})
+        return pa.table({
+            "bucket": pa.array([name for name, _ in named], pa.string()),
+            "n": pa.array([int(self.fields.mask(docids, filt).sum())
+                           for _, filt in named], pa.int64())})
 
     def agg_adjacency_matrix(self, terms: list[str],
                              named: list[tuple[str, dict]]) -> pa.Table:
@@ -1510,8 +1381,8 @@ class Searcher:
         computed once per filter and AND-ed pairwise — O(F²) boolean
         vector ops, one docvalues pass."""
         docids = self._match_docids(terms)
-        masks = [(name, self.fields.mask(docids, filt) if docids.size
-                  else np.zeros(0, dtype=bool)) for name, filt in named]
+        masks = [(name, self.fields.mask(docids, filt))
+                 for name, filt in named]
         keys, ns = [], []
         for i, (ni, mi) in enumerate(masks):
             for j in range(i, len(masks)):
@@ -1533,18 +1404,12 @@ class Searcher:
         cumsum/diff over the tiny bucket vector."""
         hist = self.agg_histogram(terms, field, interval)
         n = hist["n"].to_numpy()
-        if n.size == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "cum_n": pa.array([], pa.int64()),
-                             "d_n": pa.array([], pa.int64())})
-        cum = np.cumsum(n)
-        d = np.diff(n).astype(np.int64)
         return pa.table({
             "bucket": hist["bucket"],
             "n": hist["n"],
-            "cum_n": pa.array(cum.astype(np.int64), pa.int64()),
-            "d_n": pa.array([None] + list(d), pa.int64()),
+            "cum_n": pa.array(np.cumsum(n), pa.int64()),
+            "d_n": pa.array(np.diff(n, prepend=0), pa.int64(),
+                            mask=np.arange(n.size) == 0),
         })
 
     def rare_terms(self, max_df: int, k: int = 10) -> list[tuple[str, int]]:
@@ -1573,18 +1438,8 @@ class Searcher:
         vs :meth:`agg_composite`'s key order/pagination).  One docvalues
         fetch + one Arrow group_by.  Returns (source..., n) top-k by
         (-n, key...)."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            cols = {f: pa.array([], pa.string()) for f in sources}
-            cols["n"] = pa.array([], pa.int64())
-            return pa.table(cols)
-        got = self.fields.get(docids, sources)
-        # ES multi_terms skips docs missing ANY source field; NaN keys
-        # from float64-ified nulled ints would otherwise become buckets
-        tbl = _drop_null_key_rows(
-            pa.table({f: got[f] for f in sources}), sources)
-        g = tbl.group_by(sources).aggregate([([], "count_all")])
-        g = g.rename_columns(sources + ["n"])
+        # ES multi_terms skips docs missing ANY source field
+        g = self._key_counts(terms, sources)
         g = g.take(pc.sort_indices(
             g, sort_keys=[("n", "descending")]
             + [(f, "ascending") for f in sources]))
@@ -1597,24 +1452,22 @@ class Searcher:
         of ``edges`` plus the open (-inf, first) and [last, +inf) ends —
         exactly ES's to-exclusive semantics.  Empty buckets ARE returned
         (ES range aggs always emit every configured bucket)."""
-        docids = self._match_docids(terms)
         edges_a = np.asarray(edges, dtype=np.int64)
-        counts = np.zeros(edges_a.size + 1, dtype=np.int64)
-        if docids.size:
-            vals = self.fields.get(docids, [field])[field]
-            # _int_docvals drops BOTH Arrow nulls and float64 NaN (a
-            # nulled int shard column) — a raw astype would send NaN to
-            # INT64_MIN and inflate the open low bucket
-            arr = _int_docvals(vals)
-            idx = np.searchsorted(edges_a, arr, side="right")
-            np.add.at(counts, idx, 1)
-        lo = [None, *edges_a.tolist()]
-        hi = [*edges_a.tolist(), None]
         return pa.table({
-            "lo": pa.array(lo, pa.int64()),
-            "hi": pa.array(hi, pa.int64()),
-            "n": pa.array(counts, pa.int64()),
+            "lo": pa.array([None, *edges_a.tolist()], pa.int64()),
+            "hi": pa.array([*edges_a.tolist(), None], pa.int64()),
+            "n": pa.array(self._edge_counts(terms, field, edges_a),
+                          pa.int64()),
         })
+
+    def _edge_counts(self, terms: list[str], field: str,
+                     edges: np.ndarray) -> np.ndarray:
+        """Count of the match set's ``field`` values in each half-open
+        range (-inf, e0), [e0, e1), …, [eN, +inf) of ascending ``edges``;
+        docs without a value are skipped."""
+        arr = _ints(self._match_frame(terms, [field])[field])
+        return np.bincount(np.searchsorted(edges, arr, side="right"),
+                           minlength=edges.size + 1)
 
     def agg_percentiles(self, terms: list[str], field: str,
                         pcts: list[int]) -> pa.Table:
@@ -1623,21 +1476,11 @@ class Searcher:
         docvalues (ES approximates with t-digest; nearest-rank is the
         deterministic exact analog a SQL oracle can reproduce).  Returns
         (pct, value) rows."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        arr = np.sort(_int_docvals(vals))
-        n = arr.size
-        out = []
-        for p in pcts:
-            if n == 0:
-                out.append(None)
-            else:
-                rank = int(np.ceil(p / 100 * n))  # 1-based nearest rank
-                out.append(int(arr[max(rank, 1) - 1]))
+        arr = np.sort(_ints(self._match_frame(terms, [field])[field]))
         return pa.table({
             "pct": pa.array(list(pcts), pa.int64()),
-            "value": pa.array(out, pa.int64()),
+            "value": pa.array([_nearest_rank(arr, p) for p in pcts],
+                              pa.int64()),
         })
 
     def terms_set(self, terms: list[str], msm_field: str,
@@ -1651,22 +1494,19 @@ class Searcher:
         matched-term counts (each term's posting list already has unique
         docids), ONE docvalues fetch for the union, one numpy mask.
         Docs missing ``msm_field`` are excluded (ES skips them; SQL NULL
-        comparisons are false) — the aligned-mask fetch keeps ``vals``
-        positionally in step with ``docids``/``counts`` even when some
-        matched docs lack the field.  Returns (doc_id, n_matched) sorted
-        by doc_id."""
+        comparisons are false) before ``transform`` sees the values.
+        Returns (doc_id, n_matched) sorted by doc_id."""
         uniq = list(dict.fromkeys(terms))
-        parts = [d for d in (self._match_docids([t]) for t in uniq)
-                 if d.size]
-        if not parts:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "n_matched": pa.array([], pa.int64())})
-        docids, counts = np.unique(np.concatenate(parts),
-                                   return_counts=True)
-        vals, ok = _int_docvals_aligned(
-            self.fields.get(docids, [msm_field])[msm_field])
-        req = transform(vals) if transform is not None else vals
-        keep = ok & (counts >= req)
+        docids, counts = np.unique(np.concatenate(
+            [np.empty(0, np.int64)] + [self._match_docids([t])
+                                       for t in uniq]), return_counts=True)
+        vals = self.fields.get(docids, [msm_field])[msm_field]
+        ok = vals.is_valid().to_numpy(zero_copy_only=False)
+        docids, counts = docids[ok], counts[ok]
+        req = _ints(vals)
+        if transform is not None:
+            req = transform(req)
+        keep = counts >= req
         return pa.table({
             "doc_id": pa.array(docids[keep], pa.int64()),
             "n_matched": pa.array(counts[keep], pa.int64()),
@@ -1679,13 +1519,9 @@ class Searcher:
         (pivot + |value − origin|) — monotone-decaying with distance from
         ``origin``, halving at ``pivot`` — then top-k by (-score, doc_id).
         One docvalues fetch + vectorized arithmetic.  Docs missing
-        ``field`` don't match (ES distance_feature semantics); the
-        aligned-mask fetch keeps values in step with docids."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        v, ok = _int_docvals_aligned(vals)
-        docids, v = docids[ok], v[ok]
+        ``field`` don't match (ES distance_feature semantics)."""
+        t = self._match_frame(terms, [field]).drop_null()
+        docids, v = t["docid"].to_numpy(), _ints(t[field])
         score = (1_000_000 * pivot) // (pivot + np.abs(v - origin))
         order = np.lexsort((docids, -score))[:k]
         return pa.table({
@@ -1739,10 +1575,7 @@ class Searcher:
         integer micro-percent (``count(x ≤ v)·100·10⁶ // n``; ES
         approximates with t-digest).  One docvalues fetch + one sort;
         each probe is a binary search.  Returns (value, pct_micro)."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        arr = np.sort(_int_docvals(vals))
+        arr = np.sort(_ints(self._match_frame(terms, [field])[field]))
         n = arr.size
         probes = np.asarray(list(values), dtype=np.int64)
         if n == 0:
@@ -1765,21 +1598,9 @@ class Searcher:
         can be negative — in micro units.  Correlation is emitted as
         (sign, corr²·1e6): the sqrt ES applies would break integer SQL
         parity without adding information."""
-        docids = self._match_docids(terms)
-        if docids.size:
-            got = self.fields.get(docids, [field_x, field_y])
-            vx, okx = _int_docvals_aligned(got[field_x])
-            vy, oky = _int_docvals_aligned(got[field_y])
-            ok = okx & oky
-            x, y = vx[ok], vy[ok]
-        else:
-            x = y = np.array([], dtype=np.int64)
+        t = self._match_frame(terms, [field_x, field_y]).drop_null()
+        x, y = _ints(t[field_x]), _ints(t[field_y])
         n = int(x.size)
-
-        def trunc_div(num: int, den: int) -> int:
-            q = abs(num) // den
-            return -q if num < 0 else q
-
         if n == 0:
             none = pa.array([None], pa.int64())
             return pa.table({"n": pa.array([0], pa.int64()),
@@ -1805,15 +1626,15 @@ class Searcher:
                    if vxn > 0 and vyn > 0 else None)
         return pa.table({
             "n": pa.array([n], pa.int64()),
-            "mean_x_micro": pa.array([trunc_div(sx * 1_000_000, n)],
+            "mean_x_micro": pa.array([self._tdiv(sx * 1_000_000, n)],
                                      pa.int64()),
-            "mean_y_micro": pa.array([trunc_div(sy * 1_000_000, n)],
+            "mean_y_micro": pa.array([self._tdiv(sy * 1_000_000, n)],
                                      pa.int64()),
             "var_x_micro": pa.array([(vxn * 1_000_000) // (n * n)],
                                     pa.int64()),
             "var_y_micro": pa.array([(vyn * 1_000_000) // (n * n)],
                                     pa.int64()),
-            "cov_micro": pa.array([trunc_div(cn * 1_000_000, n * n)],
+            "cov_micro": pa.array([self._tdiv(cn * 1_000_000, n * n)],
                                   pa.int64()),
             "corr_sign": pa.array([(cn > 0) - (cn < 0)], pa.int64()),
             "corr_sq_micro": pa.array([corr_sq], pa.int64()),
@@ -1826,21 +1647,13 @@ class Searcher:
         the deterministic tie-break).  Docs missing the sort field are
         skipped (ES sorts them last, beyond any real top-k); a missing
         metric emits null.  Returns (sort_val, metric)."""
-        docids = self._match_docids(terms)
-        if docids.size:
-            got = self.fields.get(docids, [sort_field, metric_field])
-            sv, oks = _int_docvals_aligned(got[sort_field])
-            mv, okm = _int_docvals_aligned(got[metric_field])
-            d, s = docids[oks], sv[oks]
-            m, mok = mv[oks], okm[oks]
-        else:
-            d = s = m = np.array([], dtype=np.int64)
-            mok = np.array([], dtype=bool)
-        order = np.lexsort((d, -s))[:k]
+        t = self._match_frame(terms, [sort_field, metric_field])
+        t = t.filter(pc.is_valid(t[sort_field]))
+        s = _ints(t[sort_field])
+        order = np.lexsort((t["docid"].to_numpy(), -s))[:k]
         return pa.table({
             "sort_val": pa.array(s[order], pa.int64()),
-            "metric": pa.array([int(m[i]) if mok[i] else None
-                                for i in order], pa.int64()),
+            "metric": t[metric_field].take(order).cast(pa.int64()),
         })
 
     def agg_mad(self, terms: list[str], field: str) -> pa.Table:
@@ -1851,22 +1664,15 @@ class Searcher:
         medians with a t-digest; nearest-rank keeps the integer SQL
         parity this surface promises (same choice as agg_percentiles).
         Returns (n, median, mad)."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        arr = _int_docvals(vals)
+        arr = np.sort(_ints(self._match_frame(terms, [field])[field]))
         n = int(arr.size)
-        if n == 0:
-            none = pa.array([None], pa.int64())
-            return pa.table({"n": pa.array([0], pa.int64()),
-                             "median": none, "mad": none})
-        srt = np.sort(arr)
-        med = int(srt[(n - 1) // 2])
-        dev = np.sort(np.abs(arr - med))
+        med = mad = None
+        if n:
+            med = int(arr[(n - 1) // 2])
+            mad = int(np.sort(np.abs(arr - med))[(n - 1) // 2])
         return pa.table({"n": pa.array([n], pa.int64()),
                          "median": pa.array([med], pa.int64()),
-                         "mad": pa.array([int(dev[(n - 1) // 2])],
-                                         pa.int64())})
+                         "mad": pa.array([mad], pa.int64())})
 
     def agg_boxplot(self, terms: list[str], field: str) -> pa.Table:
         """ES ``boxplot`` aggregation, exact nearest-rank flavor: min /
@@ -1875,27 +1681,14 @@ class Searcher:
         t-digest; nearest-rank is the deterministic exact analog — same
         choice as agg_percentiles/agg_mad).  Returns one row
         (n, min, q1, q2, q3, max), nulls dropped."""
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.int64()))
-        arr = np.sort(_int_docvals(vals))
-        n = int(arr.size)
-        if n == 0:
-            none = pa.array([None], pa.int64())
-            return pa.table({"n": pa.array([0], pa.int64()), "min": none,
-                             "q1": none, "q2": none, "q3": none,
-                             "max": none})
-
-        def q(p: int) -> int:
-            rank = int(np.ceil(p / 100 * n))
-            return int(arr[max(rank, 1) - 1])
-
-        return pa.table({"n": pa.array([n], pa.int64()),
-                         "min": pa.array([int(arr[0])], pa.int64()),
-                         "q1": pa.array([q(25)], pa.int64()),
-                         "q2": pa.array([q(50)], pa.int64()),
-                         "q3": pa.array([q(75)], pa.int64()),
-                         "max": pa.array([int(arr[-1])], pa.int64())})
+        arr = np.sort(_ints(self._match_frame(terms, [field])[field]))
+        return pa.table({"n": pa.array([int(arr.size)], pa.int64()),
+                         "min": pa.array([_nearest_rank(arr, 0)], pa.int64()),
+                         "q1": pa.array([_nearest_rank(arr, 25)], pa.int64()),
+                         "q2": pa.array([_nearest_rank(arr, 50)], pa.int64()),
+                         "q3": pa.array([_nearest_rank(arr, 75)], pa.int64()),
+                         "max": pa.array([_nearest_rank(arr, 100)],
+                                         pa.int64())})
 
     def string_stats(self, terms: list[str], field: str) -> pa.Table:
         """ES ``string_stats`` aggregation over a string docvalue of the
@@ -1909,12 +1702,7 @@ class Searcher:
         window sum), floored to micro.  Returns one row
         (n, min_len, max_len, avg_len_micro, entropy_micro)."""
         import math
-        docids = self._match_docids(terms)
-        vals = (self.fields.get(docids, [field])[field]
-                if docids.size else pa.array([], pa.string()))
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        vals = vals.drop_null()
+        vals = self._match_frame(terms, [field])[field].drop_null()
         n = len(vals)
         if n == 0:
             none = pa.array([None], pa.int64())
@@ -1954,17 +1742,10 @@ class Searcher:
         oracle, floored to micro.  Returns one row
         (n, sum_d, sum_d2, t_micro)."""
         import math
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            none = pa.array([None], pa.int64())
-            return pa.table({"n": pa.array([0], pa.int64()), "sum_d": none,
-                             "sum_d2": none, "t_micro": none})
-        cols = self.fields.get(docids, [field_a, field_b])
-        a, aok = _int_docvals_aligned(cols[field_a])
-        b, bok = _int_docvals_aligned(cols[field_b])
-        ok = aok & bok
-        d = a[ok].astype(object) - b[ok].astype(object)  # Python bigints
-        n = int(ok.sum())
+        t = self._match_frame(terms, [field_a, field_b]).drop_null()
+        d = (_ints(t[field_a]).astype(object)
+             - _ints(t[field_b]).astype(object))   # Python bigints
+        n = int(d.size)
         if n < 2:
             none = pa.array([None], pa.int64())
             return pa.table({"n": pa.array([n], pa.int64()), "sum_d": none,
@@ -2002,29 +1783,13 @@ class Searcher:
         Vectorized: one stable sort + cumcount-per-value via
         searchsorted arithmetic.  Returns (doc_id, value) in docid
         order."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "value": pa.array([], pa.string())})
-        vals = self.fields.get(docids, [field])[field]
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        codes = vals.dictionary_encode()
-        if isinstance(codes, pa.ChunkedArray):
-            codes = codes.combine_chunks()
-        code = codes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        null = ~vals.is_valid().to_numpy(zero_copy_only=False)
-        code[null] = -1                      # missing de-dup value: skipped
-        order = np.argsort(docids, kind="stable")
-        c_sorted = code[order]
-        seen = _cumcount(c_sorted)
-        keep = (c_sorted >= 0) & (seen < max_per)
-        idx = order[keep][:shard_size]
-        idx.sort()
-        return pa.table({
-            "doc_id": pa.array(docids[idx], pa.int64()),
-            "value": vals.take(pa.array(idx)),
-        })
+        # docids ascend, so the walk is in row order; missing values
+        # are skipped
+        t = self._match_frame(terms, [field]).drop_null()
+        codes = t[field].combine_chunks().dictionary_encode().indices
+        keep = _cumcount(codes.to_numpy().astype(np.int64)) < max_per
+        return pa.table({"doc_id": t["docid"], "value": t[field]}).filter(
+            pa.array(keep)).slice(0, shard_size)
 
     def agg_geotile(self, terms: list[str], field: str,
                     zoom: int = 4) -> pa.Table:
@@ -2040,17 +1805,7 @@ class Searcher:
         No ±85.05° clamp: the synthetic fixture stays within ±60° (ES
         clamps only because the Mercator y diverges at the poles).
         Returns (tile_x, tile_y, n) sorted by (tile_x, tile_y)."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            empty = pa.array([], pa.int64())
-            return pa.table({"tile_x": empty, "tile_y": empty, "n": empty})
-        got = self.fields.get(docids, [f"{field}_lat", f"{field}_lon"])
-        lat = np.asarray(got[f"{field}_lat"].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        lon = np.asarray(got[f"{field}_lon"].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        ok = ~(np.isnan(lat) | np.isnan(lon))
-        lat, lon = lat[ok], lon[ok]
+        _, lat, lon = self._geo_points(terms, field)
         nt = np.float64(2.0) ** zoom
         xt = np.floor((lon + 180.0) / 360.0 * nt).astype(np.int64)
         latr = lat * (np.pi / 180.0)
@@ -2076,11 +1831,7 @@ class Searcher:
         values are skipped (ES skips docs without a valid value)."""
         import socket
         import struct
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            empty = pa.array([], pa.int64())
-            return pa.table({"prefix": empty, "n": empty})
-        vals = self.fields.get(docids, [field])[field].to_pylist()
+        vals = self._match_frame(terms, [field])[field].to_pylist()
         mask = ((0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF
                 if prefix_len else 0)
         out = []
@@ -2106,11 +1857,7 @@ class Searcher:
         bit-identically with pure arithmetic (no trig, unlike geotile).
         Returns (cell, n) sorted by cell id; ``cell`` is the integer
         geohash (the base-32 string is a display encoding of it)."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            empty = pa.array([], pa.int64())
-            return pa.table({"cell": empty, "n": empty})
-        lat, lon = self._geo_latlon(docids, field)
+        _, lat, lon = self._geo_points(terms, field)
         bits = 5 * precision
         lon_bits = (bits + 1) // 2   # lon gets the extra odd bit
         lat_bits = bits // 2
@@ -2146,15 +1893,8 @@ class Searcher:
         (bucket, n, pctl)."""
         hist = self.agg_date_histogram(terms, field, interval_us)
         n = hist["n"].to_numpy()
-        out = []
-        for i in range(n.size):
-            lo = max(i - window, 0)
-            frame = np.sort(n[lo:i])
-            if frame.size == 0:
-                out.append(None)
-            else:
-                rank = max(int(np.ceil(pct / 100 * frame.size)), 1)
-                out.append(int(frame[rank - 1]))
+        out = [_nearest_rank(np.sort(n[max(i - window, 0):i]), pct)
+               for i in range(n.size)]
         return pa.table({"bucket": hist["bucket"], "n": hist["n"],
                          "pctl": pa.array(out, pa.int64())})
 
@@ -2196,23 +1936,12 @@ class Searcher:
         sorted by (group, rank)."""
         uniq = list(dict.fromkeys(terms))
         d0, m0 = self._union_micro(self._lookup(uniq), uniq)
-        if d0.size == 0:
-            return pa.table({group_field: pa.array([], pa.string()),
-                             "rank": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "score_micro": pa.array([], pa.int64())})
         groups = self.fields.get(d0, [group_field])[group_field]
         # ES buckets skip docs missing the field; nulls also break the
         # object-dtype lexsort below (None vs str comparison)
-        valid = groups.is_valid().to_numpy(zero_copy_only=False)
-        if not valid.all():
-            d0, m0 = d0[valid], m0[valid]
-            groups = groups.filter(pa.array(valid))
-            if d0.size == 0:
-                return pa.table({group_field: pa.array([], pa.string()),
-                                 "rank": pa.array([], pa.int64()),
-                                 "doc_id": pa.array([], pa.int64()),
-                                 "score_micro": pa.array([], pa.int64())})
+        valid = groups.is_valid()
+        keep = valid.to_numpy(zero_copy_only=False)
+        d0, m0, groups = d0[keep], m0[keep], groups.filter(valid)
         garr = groups.to_numpy(zero_copy_only=False)
         # one lexsort: (group asc, -score, doc_id); then per-group rank by
         # run-length positions
@@ -2262,14 +1991,8 @@ class Searcher:
         (term, fg, df, lift_micro) top-k by (-lift, term),
         fg ≥ ``min_fg``."""
         from collections import Counter
-        docids = self._match_docids(terms)
-        F = int(docids.size)
-        if F == 0:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "fg": pa.array([], pa.int64()),
-                             "df": pa.array([], pa.int64()),
-                             "lift_micro": pa.array([], pa.int64())})
-        texts = self.fields.get(docids, ["text"])["text"].to_pylist()
+        texts = self._match_frame(terms, ["text"])["text"].to_pylist()
+        F = len(texts)
         fg: Counter = Counter()
         for txt in texts:
             fg.update(set(self.analyze(txt or "")))
@@ -2301,19 +2024,7 @@ class Searcher:
         floored to ``interval_us`` buckets (e.g. 3_600_000_000 = hourly ≡
         SQL ``date_trunc('hour', ts)`` for positive epochs); returns
         (bucket timestamp[us], n) sorted, empty buckets omitted."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"bucket": pa.array([], pa.timestamp("us")),
-                             "n": pa.array([], pa.int64())})
-        vals = self.fields.get(docids, [field])[field]
-        if pa.types.is_floating(vals.type):
-            # a nulled int/ts column comes back float64+NaN from the
-            # FieldStore shard; float→timestamp casts don't exist
-            micros = _int_docvals(vals)
-        else:
-            if vals.type != pa.timestamp("us"):
-                vals = vals.cast(pa.timestamp("us"))
-            micros = _int_docvals(vals.cast(pa.int64()))
+        micros = _ints(self._match_frame(terms, [field])[field])
         buckets = (micros // interval_us) * interval_us
         uniq, counts = np.unique(buckets, return_counts=True)
         return pa.table({
@@ -2385,19 +2096,8 @@ class Searcher:
         scalar walk over min/max; deterministic, mirrored by the oracle's
         ladder-VALUES scan.  Returns (interval_us, bucket, n), the chosen
         interval repeated per row."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"interval_us": pa.array([], pa.int64()),
-                             "bucket": pa.array([], pa.timestamp("us")),
-                             "n": pa.array([], pa.int64())})
-        vals = self.fields.get(docids, [field])[field]
-        if pa.types.is_floating(vals.type):
-            micros = _int_docvals(vals)
-        else:
-            if vals.type != pa.timestamp("us"):
-                vals = vals.cast(pa.timestamp("us"))
-            micros = _int_docvals(vals.cast(pa.int64()))
-        if micros.size == 0:        # non-empty match set, all-null field
+        micros = _ints(self._match_frame(terms, [field])[field])
+        if micros.size == 0:
             return pa.table({"interval_us": pa.array([], pa.int64()),
                              "bucket": pa.array([], pa.timestamp("us")),
                              "n": pa.array([], pa.int64())})
@@ -2480,36 +2180,27 @@ class Searcher:
         ``wavg_micro = (Σ v·w · 1e6) // Σ w`` in exact Python-bigint
         arithmetic (the oracle uses HUGEINT; Σ v·w·1e6 can exceed int64).
         Returns one row (n, sum_w, wavg_micro)."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            none = pa.array([None], pa.int64())
-            return pa.table({"n": pa.array([0], pa.int64()),
-                             "sum_w": none, "wavg_micro": none})
-        cols = self.fields.get(docids, [value_field, weight_field])
-        v, vok = _int_docvals_aligned(cols[value_field])
-        w, wok = _int_docvals_aligned(cols[weight_field])
-        ok = vok & wok
-        n = int(ok.sum())
-        if n == 0 or int(w[ok].astype(object).sum()) == 0:
-            none = pa.array([None], pa.int64())
-            return pa.table({"n": pa.array([n], pa.int64()),
-                             "sum_w": none, "wavg_micro": none})
-        vw = (v[ok].astype(object) * w[ok].astype(object)).sum()
-        sum_w = int(w[ok].astype(object).sum())
-        wavg = int(vw) * 1_000_000 // sum_w
-        return pa.table({"n": pa.array([n], pa.int64()),
+        t = self._match_frame(terms, [value_field, weight_field]).drop_null()
+        v = _ints(t[value_field]).astype(object)     # Python bigints
+        w = _ints(t[weight_field]).astype(object)
+        sum_w = int(w.sum())
+        if sum_w == 0:          # no pairs, or weights summing to zero
+            sum_w = wavg = None
+        else:
+            wavg = int((v * w).sum()) * 1_000_000 // sum_w
+        return pa.table({"n": pa.array([int(v.size)], pa.int64()),
                          "sum_w": pa.array([sum_w], pa.int64()),
                          "wavg_micro": pa.array([wavg], pa.int64())})
 
-    def _geo_latlon(self, docids: np.ndarray,
-                    field: str) -> tuple[np.ndarray, np.ndarray]:
-        got = self.fields.get(docids, [f"{field}_lat", f"{field}_lon"])
-        lat = np.asarray(got[f"{field}_lat"].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        lon = np.asarray(got[f"{field}_lon"].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
+    def _geo_points(self, terms: list[str], field: str):
+        """(docids, lat, lon) of the match set's geo_point ``field`` (the
+        float64 docvalue pair ``field_lat``/``field_lon``); docs without
+        both coordinates, or with a NaN one, are skipped."""
+        t = self._match_frame(terms, [f"{field}_lat", f"{field}_lon"])
+        lat = t[f"{field}_lat"].to_numpy().astype(np.float64)
+        lon = t[f"{field}_lon"].to_numpy().astype(np.float64)
         ok = ~(np.isnan(lat) | np.isnan(lon))
-        return lat[ok], lon[ok]
+        return t["docid"].to_numpy()[ok], lat[ok], lon[ok]
 
     def agg_geo_bounds(self, terms: list[str], field: str) -> pa.Table:
         """ES ``geo_bounds`` aggregation: the smallest box covering the
@@ -2518,9 +2209,7 @@ class Searcher:
         arithmetic-free, so the values are bit-identical to the SQL
         oracle's min/max over the same coordinate expression.  One row;
         all-null/empty → NULL corners (n = 0)."""
-        docids = self._match_docids(terms)
-        lat, lon = (self._geo_latlon(docids, field) if docids.size
-                    else (np.empty(0), np.empty(0)))
+        _, lat, lon = self._geo_points(terms, field)
         if lat.size == 0:
             nonef = pa.array([None], pa.float64())
             return pa.table({"n": pa.array([0], pa.int64()),
@@ -2552,9 +2241,7 @@ class Searcher:
         expression), summed as int64, and divided in integer micro
         (truncated like DuckDB ``//``).  One row (n, lat_micro,
         lon_micro)."""
-        docids = self._match_docids(terms)
-        lat, lon = (self._geo_latlon(docids, field) if docids.size
-                    else (np.empty(0), np.empty(0)))
+        _, lat, lon = self._geo_points(terms, field)
         if lat.size == 0:
             none = pa.array([None], pa.int64())
             return pa.table({"n": pa.array([0], pa.int64()),
@@ -2582,18 +2269,7 @@ class Searcher:
         deterministic across engines.  Returns (rank, doc_id, dist_m —
         floor meters; boundary-exact for points with margin from integer
         meters, same discipline as the geo filters)."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"rank": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "dist_m": pa.array([], pa.int64())})
-        got = self.fields.get(docids, [f"{field}_lat", f"{field}_lon"])
-        lat = np.asarray(got[f"{field}_lat"].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        lon = np.asarray(got[f"{field}_lon"].to_numpy(zero_copy_only=False),
-                         dtype=np.float64)
-        ok = ~(np.isnan(lat) | np.isnan(lon))
-        docids, lat, lon = docids[ok], lat[ok], lon[ok]
+        docids, lat, lon = self._geo_points(terms, field)
         RAD = 0.017453292519943295
         sdlat = np.sin((lat - lat0) * RAD / 2.0)
         sdlon = np.sin((lon - lon0) * RAD / 2.0)
@@ -2615,20 +2291,14 @@ class Searcher:
         sibling date_histogram's PRESENT bucket counts.  One row
         (n_buckets, min_n, max_n, sum_n, avg_micro); avg in exact integer
         micro."""
-        hist = self.agg_date_histogram(terms, field, interval_us)
-        n = hist["n"].to_numpy()
-        if n.size == 0:
-            none = pa.array([None], pa.int64())
-            return pa.table({"n_buckets": pa.array([0], pa.int64()),
-                             "min_n": none, "max_n": none, "sum_n": none,
-                             "avg_micro": none})
-        s = int(n.sum())
+        n = self.agg_date_histogram(terms, field, interval_us)["n"].to_numpy()
+        nb = int(n.size)
         return pa.table({
-            "n_buckets": pa.array([int(n.size)], pa.int64()),
-            "min_n": pa.array([int(n.min())], pa.int64()),
-            "max_n": pa.array([int(n.max())], pa.int64()),
-            "sum_n": pa.array([s], pa.int64()),
-            "avg_micro": pa.array([s * 1_000_000 // int(n.size)],
+            "n_buckets": pa.array([nb], pa.int64()),
+            "min_n": pa.array([int(n.min()) if nb else None], pa.int64()),
+            "max_n": pa.array([int(n.max()) if nb else None], pa.int64()),
+            "sum_n": pa.array([int(n.sum()) if nb else None], pa.int64()),
+            "avg_micro": pa.array([_micro_moments(nb, int(n.sum()))[0]],
                                   pa.int64()),
         })
 
@@ -2642,17 +2312,10 @@ class Searcher:
         empty histogram → NULL values."""
         hist = self.agg_date_histogram(terms, field, interval_us)
         arr = np.sort(hist["n"].to_numpy())
-        n = arr.size
-        out = []
-        for p in pcts:
-            if n == 0:
-                out.append(None)
-            else:
-                rank = int(np.ceil(p / 100 * n))
-                out.append(int(arr[max(rank, 1) - 1]))
         return pa.table({
             "pct": pa.array(list(pcts), pa.int64()),
-            "value": pa.array(out, pa.int64()),
+            "value": pa.array([_nearest_rank(arr, p) for p in pcts],
+                              pa.int64()),
         })
 
     def agg_bucket_sort(self, terms: list[str], field: str,
@@ -2683,11 +2346,7 @@ class Searcher:
         undefined — ES emits 0/0)."""
         hist = self.agg_date_histogram(terms, field, interval_us)
         n = hist["n"].to_numpy()
-        if n.size == 0:
-            return pa.table({"bucket": pa.array([], pa.timestamp("us")),
-                             "n": pa.array([], pa.int64()),
-                             "norm_micro": pa.array([], pa.int64())})
-        lo, hi = int(n.min()), int(n.max())
+        lo, hi = (int(n.min()), int(n.max())) if n.size else (0, 0)
         if hi == lo:
             norm = pa.array([None] * n.size, pa.int64())
         else:
@@ -2705,18 +2364,9 @@ class Searcher:
         One searchsorted over the sorted edge vector.  Null values are
         skipped.  Returns (range_idx, from_us, to_us, n) — from/to NULL
         at the open ends."""
-        docids = self._match_docids(terms)
         e = np.asarray(sorted(int(x) for x in edges), dtype=np.int64)
         nb = e.size + 1
-        counts = np.zeros(nb, dtype=np.int64)
-        if docids.size:
-            vals = self.fields.get(docids, [field])[field]
-            if not pa.types.is_floating(vals.type) and \
-                    vals.type != pa.int64():
-                vals = vals.cast(pa.timestamp("us")).cast(pa.int64())
-            micros = _int_docvals(vals)
-            idx = np.searchsorted(e, micros, side="right")
-            np.add.at(counts, idx, 1)
+        counts = self._edge_counts(terms, field, e)
         froms = [None] + [int(x) for x in e]
         tos = [int(x) for x in e] + [None]
         return pa.table({
@@ -2777,24 +2427,9 @@ class Searcher:
         FIRST bucket via lexsort-firsts, then one searchsorted of the
         sorted firsts against the bucket edges.  Docs missing either field
         are skipped.  Returns (bucket, n, cum_card) sorted."""
-        docids = self._match_docids(terms)
-        if docids.size == 0:
-            return pa.table({"bucket": pa.array([], pa.timestamp("us")),
-                             "n": pa.array([], pa.int64()),
-                             "cum_card": pa.array([], pa.int64())})
-        cols = self.fields.get(docids, [date_field, key_field])
-        dv = cols[date_field]
-        if not pa.types.is_floating(dv.type) and dv.type != pa.int64():
-            dv = dv.cast(pa.timestamp("us")).cast(pa.int64())
-        ts, tok = _int_docvals_aligned(dv)
-        key, kok = _int_docvals_aligned(cols[key_field])
-        ok = tok & kok
-        if not ok.any():
-            return pa.table({"bucket": pa.array([], pa.timestamp("us")),
-                             "n": pa.array([], pa.int64()),
-                             "cum_card": pa.array([], pa.int64())})
-        bucket = (ts[ok] // interval_us) * interval_us
-        key = key[ok]
+        t = self._match_frame(terms, [date_field, key_field]).drop_null()
+        bucket = (_ints(t[date_field]) // interval_us) * interval_us
+        key = _ints(t[key_field])
         # each key's first bucket: sort by (key, bucket), take run firsts
         order = np.lexsort((bucket, key))
         ks, bs = key[order], bucket[order]

@@ -50,7 +50,9 @@ def _shard_cls():
     # cluster scale) is rebuilt from its index_root and the in-flight
     # call retries transparently — serving self-heals instead of
     # surfacing RayActorError to every query touching that partition.
-    @ray.remote(num_cpus=0.25, max_restarts=4, max_task_retries=4)
+    # num_cpus=0: a shard only answers the coordinator's lookups, so it
+    # reserves no CPU, and all P shards place in a session of any size.
+    @ray.remote(num_cpus=0, max_restarts=4, max_task_retries=4)
     class _PartitionShard:
         """Owns one term partition: its dictionary (in memory) + postings
         mmap.  The Searcher inside loads ONLY ``tpart`` — `_part` is

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import time
 
-from .query.searcher import Searcher, _renull_int
+from .query.searcher import Searcher
 
 
 def _norm_filters(filters: dict | None) -> dict | None:
@@ -119,10 +119,7 @@ class ServeSession:
                     for i, (x, s) in enumerate(zip(d, sc))]
             fields = req.get("fields")
             if fields and len(d):
-                # re-null: a missing int docvalue arrives float64+NaN from
-                # the shard, and json.dumps(NaN) is invalid JSON
-                fv = {c: _renull_int(v) for c, v in
-                      self.searcher.get_fields(d, fields).items()}
+                fv = self.searcher.get_fields(d, fields)
                 for i, h in enumerate(hits):
                     for c in fields:
                         h[c] = fv[c][i].as_py()

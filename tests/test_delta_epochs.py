@@ -209,6 +209,77 @@ def test_delta_chain_filters_and_phrase_match_full_rebuild(ray_session,
                               {"lang": "en"}).any()
 
 
+def test_delta_chain_get_fields_types_match_single_epoch(ray_session,
+                                                         tmp_path):
+    """Chain docstore retrieval returns each column in the type
+    single-epoch ``Searcher.get_fields`` gives, with the same values as a
+    full rebuild — for live, deleted, unknown and empty selections."""
+    d = tmp_path / "tbase"
+    os.makedirs(d)
+    n = 12
+    pq.write_table(pa.table({
+        "url": [f"u{i}" for i in range(n)],
+        "text": [f"alpha doc{i}" for i in range(n)],
+        "stars": pa.array([None if i % 3 == 0 else i for i in range(n)],
+                          pa.int64()),
+        "lang": pa.array([None if i % 4 == 0 else "en" for i in range(n)],
+                         pa.string()),
+        "ts": pa.array([None if i % 5 == 0 else 1_700_000_000_000_000 + i
+                        for i in range(n)], pa.timestamp("us")),
+    }), str(d / "b.parquet"))
+    fields = ["stars", "lang", "ts"]
+    kw = dict(id_col="url", analyzer="simple", num_term_partitions=2,
+              num_buckets=4, hot_df_threshold=10**9, store_fields=fields)
+    root = str(tmp_path / "idx_types")
+    apply_delta_epoch(root, None, 0, base_paths=[str(d / "b.parquet")], **kw)
+    dd = str(tmp_path / "td1")
+    os.makedirs(dd)
+    pq.write_table(pa.table({
+        "url": ["u1", "u2", "u300"],
+        "text": ["alpha fresh", "", "alpha new"],
+        "stars": pa.array([None, 2, 7], pa.int64()),
+        "lang": pa.array(["fr", "en", None], pa.string()),
+        "ts": pa.array([5, 6, None], pa.timestamp("us")),
+        "epoch": pa.array([1, 1, 1], pa.int64()),
+        "action": ["updated", "deleted", "created"],
+    }), os.path.join(dd, "d.parquet"))
+    apply_delta_epoch(root, [os.path.join(dd, "d.parquet")], 1,
+                      mode="delta", **kw)
+    ms = MultiEpochSearcher(root)
+    single = Searcher(root, epoch=0)
+    snap_files = sorted(
+        os.path.join(r, f)
+        for r, _, fs in os.walk(snapshot_dir(root, 1))
+        for f in fs if f.endswith(".parquet"))
+    fresh = str(tmp_path / "fresh_types")
+    build_index(snap_files, fresh, id_col="url", analyzer="simple",
+                num_term_partitions=2, hot_df_threshold=10**9,
+                store_fields=fields)
+    ref = Searcher(fresh)
+
+    want_types = {c: v.type for c, v in single.get_fields(
+        np.empty(0, dtype=np.int64), fields).items()}
+    assert want_types == {"stars": pa.int64(), "lang": pa.string(),
+                          "ts": pa.timestamp("us")}
+
+    def ids(*urls):
+        return np.array([doc_id_hash(u) for u in urls], dtype=np.int64)
+
+    selections = {
+        "live": ids("u0", "u1", "u300", "u3", "u4", "u5"),
+        "all_dead": ids("u2"),
+        "dead_and_unknown": np.concatenate([ids("u2"), [12345]]),
+        "empty": np.empty(0, dtype=np.int64),
+    }
+    for name, sel in selections.items():
+        got = ms.get_fields(sel, fields)
+        assert {c: v.type for c, v in got.items()} == want_types, name
+        exp = ref.get_fields(sel, fields)
+        assert {c: v.to_pylist() for c, v in got.items()} == \
+            {c: v.to_pylist() for c, v in exp.items()}, name
+    assert ms.get_fields(ids("u1"), ["stars"])["stars"].to_pylist() == [None]
+
+
 def test_compaction_restores_single_epoch(ray_session, base_dir, tmp_path):
     """A mode='full' epoch after deltas collapses the chain (compaction)."""
     root = str(tmp_path / "idx4")

@@ -153,7 +153,7 @@ def _run_sweep(s) -> dict:
             for m, a, kw in _sweep(TERMS) + _sweep(NO_MATCH)}
 
 
-def test_every_docvalue_query_matches_its_pinned_rows_and_types(
+def test_every_docvalue_query_survives_partial_and_full_nulls(
         sweep_searcher):
     with open(PINS_PATH) as f:
         pins = json.load(f)
@@ -189,7 +189,7 @@ def test_agg_range_excludes_missing_values(sweep_searcher):
     assert out["n"].to_pylist() == [1, 0, 2]
 
 
-def test_facet_stats_skips_null_keys_and_values(sweep_searcher):
+def test_facet_stats_skips_nan_and_null_keys_and_values(sweep_searcher):
     s = sweep_searcher
     # group=lang ('en':n0,n3  'de':n2  'fr':n5  null:n1,n4): null bucket
     # dropped; n counts docs WITH the stat field (n3 misses stars)

@@ -616,8 +616,8 @@ def test_aggs_null_and_bigint_docvalues(ray_session, tmp_path):
     """Null docvalues must not break the aggs: top_hits skips docs whose
     group field is null (ES bucket semantics — and np.lexsort cannot
     compare None with str), and agg_stats/date_histogram stay
-    integer-exact after a nulled int64 column round-trips through
-    float64+NaN (a float64 SUM rounds above 2^53)."""
+    integer-exact on an int64 column with a null (a float64 SUM rounds
+    above 2^53)."""
     import pyarrow as pa
 
     from search_ingest_ray.index.build import build_index
@@ -654,8 +654,7 @@ def test_aggs_null_and_bigint_docvalues(ray_session, tmp_path):
     assert dict(zip(dh["bucket"].cast("int64").to_pylist(),
                     dh["n"].to_pylist())) == dict(want)
 
-    # ES `exists` query: non-null docvalue (None in object columns, NaN in
-    # the float64 a nulled int column is stored as)
+    # ES `exists` query: non-null docvalue, for a string and an int column
     assert s.filter_docs({}).size == n
     assert s.filter_docs({"ts_us": ("exists",)}).size == n - 1
     assert s.filter_docs({"lang": ("exists",)}).size == n - 1

@@ -1,4 +1,5 @@
-"""The text, dedup and media queries finish in small Ray sessions.
+"""The text, dedup, media and sharded-serving queries finish in small Ray
+sessions.
 
 Each session runs in a SUBPROCESS with its own ``ray.init(num_cpus=N)``
 (the tests/test_chaos.py pattern) and a deadline.  A map stage that holds
@@ -77,3 +78,13 @@ def test_text_queries_finish_in_one_and_two_cpu_sessions(ray_session,
         assert got_1[name] == want, name
         if name in got_2:
             assert got_2[name] == want, name
+
+
+def test_bm25_sharded_finishes_in_a_one_cpu_session(ray_session, sf_dir):
+    # one shard actor per term partition (8 here): their placement must
+    # not depend on the session's CPU count
+    import __ray_entry__ as e
+
+    got = _small_session(sf_dir, 1, ["bm25_sharded"])
+    want = _rows(e.queries()["bm25_sharded"](sf_dir))
+    assert want and got["bm25_sharded"] == want
